@@ -540,6 +540,43 @@ func BenchmarkRouteMapOrderSearch(b *testing.B) {
 	b.ReportMetric(float64(bestN), "best-nodes/op")
 }
 
+// BenchmarkRouteEncodingBuild measures the fixed set-up a route-map
+// worker pays per pair before compiling any clause: the route encoding
+// (vocabulary atomization plus the WellFormed constraint) and the header
+// localizer over it, built on one recycled factory as the worker pool
+// builds them. nodes/op is the arena the set-up leaves.
+func BenchmarkRouteEncodingBuild(b *testing.B) {
+	fig1a, fig1b := mustFigure1(b)
+	border := testnets.UniversityBorder()
+	gen := policygen.Generate(policygen.Params{Seed: 11, Clauses: 6, Communities: 4, Differences: 2})
+	genC, err := cisco.Parse("c.cfg", gen.CiscoText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	genJ, err := juniper.Parse("j.cfg", gen.JuniperText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		c1, c2 *ir.Config
+	}{
+		{"figure1", fig1a, fig1b},
+		{"university-border", border.Config1, border.Config2},
+		{"genpol-seed11", genC, genJ},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := bdd.NewFactory(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enc := symbolic.NewRouteEncodingInto(f, bc.c1, bc.c2)
+				headerloc.NewRouteLocalizer(enc, bc.c1, bc.c2)
+			}
+			b.ReportMetric(float64(f.Size()), "nodes/op")
+		})
+	}
+}
+
 // BenchmarkIntraPairACL10000 sweeps intra-pair striping over ONE
 // 10k-rule ACL pair — the workload where inter-pair fan-out has nothing
 // to parallelize. workers>1 engages the striped engine; the win is

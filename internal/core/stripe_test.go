@@ -155,7 +155,7 @@ func TestGCBoundsCacheNodes(t *testing.T) {
 	defer func(v int) { gcNodeThreshold = v }(gcNodeThreshold)
 	gcNodeThreshold = 1 << 12
 
-	c1, c2 := syntheticFleetPair(t, 12, 2)
+	c1, c2 := syntheticFleetPair(t, 40, 2)
 	baseline, err := Diff(c1, c2, Options{Workers: 1, Components: []Component{ComponentRouteMaps}})
 	if err != nil {
 		t.Fatal(err)

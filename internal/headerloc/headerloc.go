@@ -74,11 +74,10 @@ func NewRouteLocalizer(enc *symbolic.RouteEncoding, cfgs ...*ir.Config) *RouteLo
 		dag:       ddnf.Build(ranges),
 		nonPrefix: enc.NonPrefixVars(),
 	}
-	prefixUniverse := enc.F.Exists(enc.WellFormed, l.nonPrefix)
 	l.ops = ddnf.SetOps{
 		F:        enc.F,
 		RangeBDD: enc.PrefixRangeBDD,
-		Universe: prefixUniverse,
+		Universe: enc.PrefixUniverse,
 	}
 	return l
 }

@@ -132,11 +132,11 @@ func (j *Journal) Emit(e Event) {
 	if j == nil {
 		return
 	}
-	now := time.Since(j.t0)
 	j.mu.Lock()
 	j.seq++
 	e.Seq = j.seq
-	e.T = int64(now)
+	// Stamped under the lock so t_ns never runs backwards against seq.
+	e.T = int64(time.Since(j.t0))
 	if j.w != nil {
 		// One marshal + one write per event: each line hits the file
 		// before Emit returns, so a crash loses at most the event in

@@ -4,11 +4,11 @@ import "repro/internal/bdd"
 
 // GC runs unique-table garbage collection on the encoding's factory
 // (bdd.GC), rooting everything the encoding itself still needs — the
-// WellFormed constraint and every memoized range/list BDD — plus the
-// caller's extra roots (a policy cache passes its compiled path guards).
-// All memo tables are reseated to the compacted references, and extra is
-// remapped in place and returned. Every other Node derived from this
-// encoding is invalid afterwards.
+// WellFormed and PrefixUniverse constraints and every memoized
+// range/list BDD — plus the caller's extra roots (a policy cache passes
+// its compiled path guards). All memo tables are reseated to the
+// compacted references, and extra is remapped in place and returned.
+// Every other Node derived from this encoding is invalid afterwards.
 //
 // Rooting the memo tables (rather than flushing them) is deliberate:
 // the memos are the reusable fraction of the arena — the list and range
@@ -17,7 +17,7 @@ import "repro/internal/bdd"
 // leaves behind.
 func (e *RouteEncoding) GC(extra []bdd.Node) []bdd.Node {
 	roots := make([]bdd.Node, 0,
-		1+len(e.lenRange)+len(e.prefixRanges)+len(e.prefixLists)+
+		2+len(e.lenRange)+len(e.prefixRanges)+len(e.prefixLists)+
 			len(e.nextHopLists)+len(e.commLists)+len(e.asPathLists)+len(extra))
 	reseat := make([]func(bdd.Node), 0, cap(roots))
 	add := func(n bdd.Node, set func(bdd.Node)) {
@@ -25,6 +25,7 @@ func (e *RouteEncoding) GC(extra []bdd.Node) []bdd.Node {
 		reseat = append(reseat, set)
 	}
 	add(e.WellFormed, func(n bdd.Node) { e.WellFormed = n })
+	add(e.PrefixUniverse, func(n bdd.Node) { e.PrefixUniverse = n })
 	for k, v := range e.lenRange {
 		k := k
 		add(v, func(n bdd.Node) { e.lenRange[k] = n })

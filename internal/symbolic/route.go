@@ -46,6 +46,12 @@ type RouteEncoding struct {
 	// prefix length with zero padding beyond it, at most one MED/tag
 	// atom, exactly one protocol and one as-path atom.
 	WellFormed bdd.Node
+	// PrefixUniverse is WellFormed's prefix conjunct: the valid (prefix
+	// address, length) pairs. Its other conjuncts are satisfiable and
+	// share no variable with it, so it equals WellFormed with the
+	// NonPrefixVars quantified out — the universe header localization
+	// complements prefix sets within.
+	PrefixUniverse bdd.Node
 
 	// cache of prefix length interval BDDs
 	lenRange map[[2]uint8]bdd.Node
@@ -263,6 +269,7 @@ func NewRouteEncodingIntoOrdered(f *bdd.Factory, order []int, cfgs ...*ir.Config
 	e.prefixBits = bitVec{f: e.F, first: pb, width: 32}
 	e.prefixLen = bitVec{f: e.F, first: pl, width: 6}
 	e.nextHop = bitVec{f: e.F, first: nh, width: 32}
+	e.PrefixUniverse = e.buildPrefixUniverse()
 	e.WellFormed = e.buildWellFormed()
 	return e
 }
@@ -280,45 +287,58 @@ func sortedInt64s(set map[int64]bool) []int64 {
 func (e *RouteEncoding) NumVars() int { return e.F.NumVars() }
 
 // buildWellFormed constructs the validity constraint described on
-// RouteEncoding.
+// RouteEncoding over the already built PrefixUniverse. Every part is
+// built bottom-up, each step an Ite on one variable over parts
+// already built, so under the identity order a step adds one node and
+// the construction leaves next to no garbage (a permuted order only
+// makes the steps real Ite recursions). The blocks are conjoined
+// lowest-first for the same reason: each And copies the block above
+// once onto the conjunction below it, where a top-down fold would copy
+// the growing conjunction again at every step.
 func (e *RouteEncoding) buildWellFormed() bdd.Node {
 	f := e.F
-	// Valid prefix: length L in 0..32 and bits >= L are zero.
-	prefixOK := bdd.False
-	for L := 0; L <= 32; L++ {
-		cube := e.prefixLen.eqConst(uint64(L))
-		for i := 31; i >= L; i-- {
-			cube = f.And(cube, f.NVar(e.prefixBits.first+i))
-		}
-		prefixOK = f.Or(prefixOK, cube)
-	}
-	wf := prefixOK
-	wf = f.And(wf, atMostOne(f, e.medVar0, len(e.medVals)))
-	wf = f.And(wf, atMostOne(f, e.tagVar0, len(e.tagVals)))
-	wf = f.And(wf, exactlyOne(f, e.protoVar0, len(protocolOrder)))
-	wf = f.And(wf, exactlyOne(f, e.asVar0, len(e.asAtoms)))
-	return wf
+	wf := oneHot(f, e.asVar0, len(e.asAtoms), bdd.False)                  // exactly one as-path atom
+	wf = f.And(oneHot(f, e.protoVar0, len(protocolOrder), bdd.False), wf) // exactly one protocol
+	wf = f.And(oneHot(f, e.tagVar0, len(e.tagVals), bdd.True), wf)        // at most one tag atom
+	wf = f.And(oneHot(f, e.medVar0, len(e.medVals), bdd.True), wf)        // at most one MED atom
+	return f.And(e.PrefixUniverse, wf)
 }
 
-func atMostOne(f *bdd.Factory, first, n int) bdd.Node {
-	out := bdd.True
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out = f.And(out, f.Not(f.And(f.Var(first+i), f.Var(first+j))))
+// buildPrefixUniverse returns the valid (address, length) pairs: a
+// length in 0..32 with every address bit at or past the length zero, so
+// address bit i set forces length >= i+1. One pass over the bits from
+// the last up keeps a row per forced minimum: once bits i..31 are
+// placed, row[m] constrains them and the length given that a higher bit
+// already forces length >= m. Only m <= i can still be forced by the
+// bits above i, so rows past i are final and row[i+1] is what bit i
+// leads to when set.
+func (e *RouteEncoding) buildPrefixUniverse() bdd.Node {
+	f := e.F
+	var row [33]bdd.Node
+	for m := range row {
+		row[m] = e.prefixLen.rangeConst(uint64(m), 32)
+	}
+	for i := 31; i >= 0; i-- {
+		bit := f.Var(e.prefixBits.first + i)
+		for m := 0; m <= i; m++ {
+			row[m] = f.Ite(bit, row[i+1], row[m])
 		}
+	}
+	return row[0]
+}
+
+// oneHot constrains at most one of the n variables from first to be
+// set, or exactly one when noneSet (the value with every variable clear)
+// is False. It is a chain from the last variable up: none is "no
+// variable past i is set", which is all that setting variable i leaves
+// for the rest.
+func oneHot(f *bdd.Factory, first, n int, noneSet bdd.Node) bdd.Node {
+	none, out := bdd.True, noneSet
+	for i := n - 1; i >= 0; i-- {
+		out = f.Ite(f.Var(first+i), none, out)
+		none = f.AndLit(first+i, false, none)
 	}
 	return out
-}
-
-func exactlyOne(f *bdd.Factory, first, n int) bdd.Node {
-	if n == 0 {
-		return bdd.True
-	}
-	any := bdd.False
-	for i := 0; i < n; i++ {
-		any = f.Or(any, f.Var(first+i))
-	}
-	return f.And(any, atMostOne(f, first, n))
 }
 
 // PrefixVars returns the variables carrying the advertised prefix (bits

@@ -17,7 +17,7 @@ out="BENCH_${date}.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkParallelRouteMapDiff|BenchmarkDiffBatch|BenchmarkFullPairDiff|BenchmarkDiffAllFleet|BenchmarkDiffObservability|BenchmarkSemanticDiffRouteMap300|BenchmarkSemanticDiffRouteMap10000|BenchmarkRouteMapOrderSearch|BenchmarkIntraPairACL10000|BenchmarkFleetAudit|BenchmarkRepairFigure1' \
+go test -run '^$' -bench 'BenchmarkParallelRouteMapDiff|BenchmarkDiffBatch|BenchmarkFullPairDiff|BenchmarkDiffAllFleet|BenchmarkDiffObservability|BenchmarkSemanticDiffRouteMap300|BenchmarkSemanticDiffRouteMap10000|BenchmarkRouteMapOrderSearch|BenchmarkRouteEncodingBuild|BenchmarkIntraPairACL10000|BenchmarkFleetAudit|BenchmarkRepairFigure1' \
     -benchmem -benchtime "${BENCHTIME:-2s}" "$@" . | tee "$raw"
 
 awk -v date="$date" '
