@@ -143,44 +143,87 @@ func loaderDevices(t *testing.T, members []testnets.FleetMember, parses *int32, 
 	return out
 }
 
+// nonUTF8Members is a three-device fleet whose route-map name, and one
+// hostname, hold bytes that are not valid UTF-8. encoding/json writes
+// such bytes as U+FFFD, so a cache entry holding them would render a
+// different report — and different table column widths — on a warm run.
+// r1 differs from r0 only in its hostname, so r0 represents both: a warm
+// fleet run renders r1's pairs from r1's hash entry, not from a parse.
+func nonUTF8Members() []testnets.FleetMember {
+	cfg := func(host, pref string) string {
+		return "hostname " + host + "\n" +
+			"ip prefix-list NETS permit 10.9.0.0/16 le 24\n" +
+			"route-map POL\xff permit 10\n" +
+			" match ip address NETS\n" +
+			" set local-preference " + pref + "\n" +
+			"route-map POL\xff deny 20\n" +
+			"router bgp 65001\n" +
+			" neighbor 10.0.12.2 remote-as 65002\n" +
+			" neighbor 10.0.12.2 route-map POL\xff in\n"
+	}
+	return []testnets.FleetMember{
+		{Name: "r0", Text: cfg("r0", "100")},
+		{Name: "r1", Text: cfg("r1\xe9", "100")},
+		{Name: "r2", Text: cfg("r2", "200")},
+	}
+}
+
 // TestDiffFleetWarmCache: a second run over an unchanged fleet parses
-// nothing, diffs nothing, and still produces byte-identical output.
+// nothing, diffs nothing, and still produces byte-identical output. A
+// fleet whose text JSON cannot carry is never persisted, so its warm
+// run recomputes — with the same output.
 func TestDiffFleetWarmCache(t *testing.T) {
-	members := testnets.Fleet(testnets.FleetParams{Devices: 12, Templates: 3, MutationRate: 0.1, Seed: 5})
-	dir := t.TempDir()
-	var mu sync.Mutex
-	var parses int32
+	for _, tc := range []struct {
+		name     string
+		members  []testnets.FleetMember
+		wantWarm bool // the warm run is served from the cache alone
+	}{
+		{"fleet", testnets.Fleet(testnets.FleetParams{Devices: 12, Templates: 3, MutationRate: 0.1, Seed: 5}), true},
+		{"non-utf8", nonUTF8Members(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			members := tc.members
+			dir := t.TempDir()
+			var mu sync.Mutex
+			var parses int32
 
-	cold, err := DiffFleet(context.Background(), loaderDevices(t, members, &parses, &mu), FleetOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parses != int32(len(members)) {
-		t.Fatalf("cold run parsed %d devices, want %d", parses, len(members))
-	}
-	if cold.Stats.RepComputed == 0 || cold.Stats.Cache.ReportMisses == 0 {
-		t.Fatalf("cold run did no work: %+v", cold.Stats)
-	}
+			cold, err := DiffFleet(context.Background(), loaderDevices(t, members, &parses, &mu), FleetOptions{CacheDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parses != int32(len(members)) {
+				t.Fatalf("cold run parsed %d devices, want %d", parses, len(members))
+			}
+			if cold.Stats.RepComputed == 0 || cold.Stats.Cache.ReportMisses == 0 {
+				t.Fatalf("cold run did no work: %+v", cold.Stats)
+			}
 
-	parses = 0
-	warm, err := DiffFleet(context.Background(), loaderDevices(t, members, &parses, &mu), FleetOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parses != 0 {
-		t.Fatalf("warm run parsed %d devices, want 0", parses)
-	}
-	if warm.Stats.RepComputed != 0 {
-		t.Fatalf("warm run recomputed %d representative pairs", warm.Stats.RepComputed)
-	}
-	if warm.Stats.ParsesAvoided != len(members) {
-		t.Fatalf("ParsesAvoided = %d, want %d", warm.Stats.ParsesAvoided, len(members))
-	}
-	coldRes, warmRes := cold.Results(), warm.Results()
-	for i := range coldRes {
-		if a, b := renderResult(t, coldRes[i]), renderResult(t, warmRes[i]); a != b {
-			t.Fatalf("pair %d: warm output diverged from cold:\n%s\nvs\n%s", i, a, b)
-		}
+			parses = 0
+			warm, err := DiffFleet(context.Background(), loaderDevices(t, members, &parses, &mu), FleetOptions{CacheDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantWarm {
+				if parses != 0 {
+					t.Fatalf("warm run parsed %d devices, want 0", parses)
+				}
+				if warm.Stats.RepComputed != 0 {
+					t.Fatalf("warm run recomputed %d representative pairs", warm.Stats.RepComputed)
+				}
+				if warm.Stats.ParsesAvoided != len(members) {
+					t.Fatalf("ParsesAvoided = %d, want %d", warm.Stats.ParsesAvoided, len(members))
+				}
+			} else if warm.Stats.RepComputed != cold.Stats.RepComputed {
+				t.Fatalf("warm run recomputed %d representative pairs, want %d (nothing persisted)",
+					warm.Stats.RepComputed, cold.Stats.RepComputed)
+			}
+			coldRes, warmRes := cold.Results(), warm.Results()
+			for i := range coldRes {
+				if a, b := renderResult(t, coldRes[i]), renderResult(t, warmRes[i]); a != b {
+					t.Fatalf("pair %d: warm output diverged from cold:\n%s\nvs\n%s", i, a, b)
+				}
+			}
+		})
 	}
 }
 
@@ -343,10 +386,11 @@ func TestDiffFleetDeviceErrors(t *testing.T) {
 }
 
 // TestDiffBatchCacheDir: the per-pair report cache in DiffBatch serves
-// byte-identical reports on a warm run.
+// byte-identical reports on a warm run, also for pairs whose text is not
+// valid UTF-8 (see nonUTF8Members).
 func TestDiffBatchCacheDir(t *testing.T) {
 	members := testnets.Fleet(testnets.FleetParams{Devices: 4, Templates: 4, MutationRate: 0, Seed: 6})
-	cfgs := fleetConfigs(t, members)
+	cfgs := fleetConfigs(t, append(members, nonUTF8Members()...))
 	var pairs []ConfigPair
 	for i := 0; i < len(cfgs); i++ {
 		for j := i + 1; j < len(cfgs); j++ {

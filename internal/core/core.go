@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -732,11 +733,19 @@ func dedupeRouteMapDiffs(ds []RouteMapDiff) []RouteMapDiff {
 	seen := map[string]bool{}
 	var out []RouteMapDiff
 	for _, d := range ds {
-		k := d.Pair.Kind + "|" + d.Pair.Neighbor + "|" + d.Pair.Name1 + "|" + d.Pair.Name2 + "|" +
-			d.Action1 + "|" + d.Action2 + "|" + d.Text1.Location() + "|" + d.Text2.Location()
-		for _, t := range d.Localization.Terms {
-			k += "|" + t.String()
+		var b strings.Builder
+		for i, f := range [...]string{d.Pair.Kind, d.Pair.Neighbor, d.Pair.Name1, d.Pair.Name2,
+			d.Action1, d.Action2, d.Text1.Location(), d.Text2.Location()} {
+			if i > 0 {
+				b.WriteByte('|')
+			}
+			b.WriteString(f)
 		}
+		for _, t := range d.Localization.Terms {
+			b.WriteByte('|')
+			b.WriteString(t.String())
+		}
+		k := b.String()
 		if seen[k] {
 			continue
 		}

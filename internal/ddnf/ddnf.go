@@ -20,7 +20,6 @@ import (
 type Node struct {
 	Range    netaddr.PrefixRange
 	Children []*Node
-	parents  []*Node
 }
 
 // DAG is the prefix-range containment DAG.
@@ -61,7 +60,6 @@ func Build(ranges []netaddr.PrefixRange) *DAG {
 			}
 			if immediate {
 				m.Children = append(m.Children, n)
-				n.parents = append(n.parents, m)
 			}
 		}
 	}
@@ -268,11 +266,13 @@ func Simplify(terms []Term) []FlatTerm {
 
 // String renders a flat term as "R − X₁ − X₂".
 func (t FlatTerm) String() string {
-	s := t.Include.String()
+	var b strings.Builder
+	b.WriteString(t.Include.String())
 	for _, x := range t.Exclude {
-		s += " − " + x.String()
+		b.WriteString(" − ")
+		b.WriteString(x.String())
 	}
-	return s
+	return b.String()
 }
 
 // Dot renders the DAG in Graphviz dot format, for visual inspection of

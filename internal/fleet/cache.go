@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -61,9 +62,14 @@ type Store struct {
 	maxReports int64
 
 	// memo, when non-nil, is the in-memory layer: full entry key →
-	// *core.Report (reports) or HashEntry (hashes). Decoded reports are
-	// shared between callers; they are never mutated after decode
-	// (RespanReport copies).
+	// *core.Report (reports) or HashEntry (hashes). A memoized report
+	// has the wire shape DecodeReport returns — Hostname/File stub
+	// configs, no Stats — so it never pins parsed configurations (span
+	// lines may still share their source text). After a put it is the
+	// producer's own report, difference slices shared; after a disk
+	// read it is the decode. Either way it is read-only and shared
+	// between callers (RespanReport copies). Disk entries are JSON, and
+	// an entry JSON cannot carry faithfully is never written.
 	memo *sync.Map
 
 	reportHits, reportMisses atomic.Uint64
@@ -219,7 +225,9 @@ func (s *Store) PutHash(contentSum, hash, hostname string, fallback bool) {
 	if s.memo != nil {
 		s.memo.Store("hash\x00"+contentSum, e)
 	}
-	if s.dir == "" {
+	// encoding/json would replace the bytes of an invalid hostname, and
+	// a warm run would render a different name.
+	if s.dir == "" || !utf8.ValidString(hostname) {
 		return
 	}
 	body, err := json.Marshal(e)
@@ -286,21 +294,23 @@ func (s *Store) GetReport(hash1, hash2, optsFP string) (*core.Report, bool) {
 }
 
 // PutReport stores a finished report under its key. Failures are
-// silent — the cache is an accelerator, never a correctness dependency.
+// silent — the cache is an accelerator, never a correctness dependency;
+// a report whose text EncodeReport refuses is kept in the memo only.
+//
+// The memo takes rep's difference slices without copying them: the
+// caller gives up the right to mutate them, and the memo entry, like
+// every memo entry, is read-only (consumers get RespanReport copies).
+// Because the entry is the producer's own report in wire shape, a
+// later lookup renders exactly what the producing run rendered.
 func (s *Store) PutReport(hash1, hash2, optsFP string, rep *core.Report) {
-	payload, err := EncodeReport(rep)
-	if err != nil {
-		return
-	}
 	if s.memo != nil {
-		// Memoize the decoded round-trip, not rep itself: callers hand in
-		// reports they may keep using, and serving the same canonical
-		// decode for puts and gets keeps warm and cold paths identical.
-		if dec, derr := DecodeReport(payload); derr == nil {
-			s.memo.Store("report\x00"+hash1+"\x00"+hash2+"\x00"+optsFP, dec)
-		}
+		s.memo.Store("report\x00"+hash1+"\x00"+hash2+"\x00"+optsFP, payloadOf(rep).report())
 	}
 	if s.dir == "" {
+		return
+	}
+	payload, err := EncodeReport(rep)
+	if err != nil {
 		return
 	}
 	body, err := json.Marshal(reportEntry{

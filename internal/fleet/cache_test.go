@@ -3,11 +3,13 @@ package fleet
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 )
 
 func testReport(t *testing.T) *core.Report {
@@ -24,6 +26,41 @@ func testReport(t *testing.T) *core.Report {
 		t.Fatal("test pair reports no differences")
 	}
 	return rep
+}
+
+// checkMemoized asserts that got, a report the memo serves for rep,
+// renders byte-identically (text and JSON) to rep and to rep's wire
+// round-trip, and has the wire shape: Hostname/File stub configs and no
+// Stats, so the memo never pins parsed configurations.
+func checkMemoized(t *testing.T, got, rep *core.Report) {
+	t.Helper()
+	data, err := EncodeReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotText, gotJSON := render(t, got)
+	for _, want := range []*core.Report{rep, dec} {
+		wantText, wantJSON := render(t, want)
+		if gotText != wantText {
+			t.Fatalf("memoized text diverged:\n--- want ---\n%s\n--- got ---\n%s", wantText, gotText)
+		}
+		if gotJSON != wantJSON {
+			t.Fatalf("memoized JSON diverged:\n--- want ---\n%s\n--- got ---\n%s", wantJSON, gotJSON)
+		}
+	}
+	for _, c := range [][2]*ir.Config{{got.Config1, rep.Config1}, {got.Config2, rep.Config2}} {
+		stub := &ir.Config{Hostname: c[1].Hostname, File: c[1].File}
+		if !reflect.DeepEqual(c[0], stub) {
+			t.Fatalf("memoized config is not a Hostname/File stub: %+v", c[0])
+		}
+	}
+	if got.Stats != nil {
+		t.Fatalf("memoized report keeps Stats: %+v", got.Stats)
+	}
 }
 
 func entryFiles(t *testing.T, dir, sub string) []string {
@@ -170,6 +207,9 @@ func TestStoreEviction(t *testing.T) {
 func TestStoreConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	rep := testReport(t)
+	// One memory store shared by every goroutine: its entries alias
+	// rep's difference slices, read concurrently by RespanReport.
+	mem := OpenMemStore()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -181,11 +221,14 @@ func TestStoreConcurrent(t *testing.T) {
 				return
 			}
 			for i := 0; i < 20; i++ {
-				s.PutReport("h1", "h2", "fp", rep)
-				if got, ok := s.GetReport("h1", "h2", "fp"); ok {
-					if got.TotalDifferences() != rep.TotalDifferences() {
-						t.Errorf("goroutine %d: torn read", g)
-						return
+				for _, st := range []*Store{s, mem} {
+					st.PutReport("h1", "h2", "fp", rep)
+					if got, ok := st.GetReport("h1", "h2", "fp"); ok {
+						out := RespanReport(got, rep.Config1, rep.Config2)
+						if out.TotalDifferences() != rep.TotalDifferences() {
+							t.Errorf("goroutine %d: torn read", g)
+							return
+						}
 					}
 				}
 				s.PutHash("sum", "hash", "host", false)
@@ -234,6 +277,7 @@ func TestMemStore(t *testing.T) {
 		t.Fatalf("difference count changed: %d vs %d",
 			got.TotalDifferences(), rep.TotalDifferences())
 	}
+	checkMemoized(t, got, rep)
 	if _, ok := s.GetReport("h2", "h1", "fp"); ok {
 		t.Fatal("hit on swapped orientation")
 	}
@@ -277,8 +321,10 @@ func TestStoreMemo(t *testing.T) {
 	// A fresh memo-enabled store must pull from disk once, then memoize.
 	s2, _ := OpenStore(dir)
 	s2.EnableMemo()
-	if _, ok := s2.GetReport("h1", "h2", "fp"); !ok {
+	if got, ok := s2.GetReport("h1", "h2", "fp"); !ok {
 		t.Fatal("disk miss on fresh store")
+	} else {
+		checkMemoized(t, got, rep)
 	}
 
 	// Remove the backing files: the original store and the warmed store
@@ -288,14 +334,18 @@ func TestStoreMemo(t *testing.T) {
 			os.Remove(p)
 		}
 	}
-	if _, ok := s.GetReport("h1", "h2", "fp"); !ok {
+	if got, ok := s.GetReport("h1", "h2", "fp"); !ok {
 		t.Fatal("memo miss on writer store after disk removal")
+	} else {
+		checkMemoized(t, got, rep)
 	}
 	if e, ok := s.GetHash("sum1"); !ok || e.Hash != "hash1" {
 		t.Fatal("hash memo miss on writer store after disk removal")
 	}
-	if _, ok := s2.GetReport("h1", "h2", "fp"); !ok {
+	if got, ok := s2.GetReport("h1", "h2", "fp"); !ok {
 		t.Fatal("memo miss on reader store after disk removal")
+	} else {
+		checkMemoized(t, got, rep)
 	}
 	// But a third store (no memo history) sees the truth: gone.
 	s3, _ := OpenStore(dir)

@@ -4,7 +4,8 @@
 //
 // Everything a report renders is plain exported data — prefix ranges,
 // community terms, example routes/packets, text spans, structural
-// differences — so encoding/json round-trips it exactly. The only pieces
+// differences — so encoding/json round-trips it exactly, provided its
+// text is valid UTF-8 (EncodeReport refuses the rest). The only pieces
 // deliberately dropped are Report.Stats (execution metadata, excluded
 // from deterministic output by design) and the full parsed Configs:
 // rendering reads only Hostname (the router names) and the span Files,
@@ -12,7 +13,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -36,8 +39,16 @@ type reportPayload struct {
 	Unmatched2    []string
 }
 
-// EncodeReport serializes rep for the persistent cache.
-func EncodeReport(rep *core.Report) ([]byte, error) {
+// errUnfaithful: the report's JSON would not decode to the same text.
+var errUnfaithful = errors.New("report text is not valid UTF-8")
+
+// invalidUTF8 is how encoding/json writes a byte that is not valid
+// UTF-8. A valid U+FFFD is written raw, so the escape marks text that
+// would come back changed.
+var invalidUTF8 = []byte(`\ufffd`)
+
+// payloadOf is rep's wire payload. It shares rep's difference slices.
+func payloadOf(rep *core.Report) reportPayload {
 	p := reportPayload{
 		Version:       payloadVersion,
 		RouteMapDiffs: rep.RouteMapDiffs,
@@ -52,21 +63,12 @@ func EncodeReport(rep *core.Report) ([]byte, error) {
 	if rep.Config2 != nil {
 		p.Host2, p.File2 = rep.Config2.Hostname, rep.Config2.File
 	}
-	return json.Marshal(p)
+	return p
 }
 
-// DecodeReport reconstructs a report from EncodeReport output. The
-// configs are stubs carrying only Hostname and File — exactly what
-// rendering consumes. A version mismatch is an error (the caller treats
-// it as a cache miss).
-func DecodeReport(data []byte) (*core.Report, error) {
-	var p reportPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, err
-	}
-	if p.Version != payloadVersion {
-		return nil, fmt.Errorf("cache payload version %d, want %d", p.Version, payloadVersion)
-	}
+// report is the report p describes: stub configs carrying only
+// Hostname and File — exactly what rendering consumes — and no Stats.
+func (p reportPayload) report() *core.Report {
 	return &core.Report{
 		Config1:        &ir.Config{Hostname: p.Host1, File: p.File1},
 		Config2:        &ir.Config{Hostname: p.Host2, File: p.File2},
@@ -75,7 +77,37 @@ func DecodeReport(data []byte) (*core.Report, error) {
 		Structural:     p.Structural,
 		UnmatchedACLs1: p.Unmatched1,
 		UnmatchedACLs2: p.Unmatched2,
-	}, nil
+	}
+}
+
+// EncodeReport serializes rep for the persistent cache. It fails when
+// rep's text is not valid UTF-8: encoding/json would replace the bad
+// bytes, and the decoded report would render differently. Text that
+// literally contains the characters \ufffd fails too; that costs only a
+// cache miss.
+func EncodeReport(rep *core.Report) ([]byte, error) {
+	data, err := json.Marshal(payloadOf(rep))
+	if err != nil {
+		return nil, err
+	}
+	if bytes.Contains(data, invalidUTF8) {
+		return nil, errUnfaithful
+	}
+	return data, nil
+}
+
+// DecodeReport reconstructs a report from EncodeReport output. The
+// configs are stubs carrying only Hostname and File. A version mismatch
+// is an error (the caller treats it as a cache miss).
+func DecodeReport(data []byte) (*core.Report, error) {
+	var p reportPayload
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, err
+	}
+	if p.Version != payloadVersion {
+		return nil, fmt.Errorf("cache payload version %d, want %d", p.Version, payloadVersion)
+	}
+	return p.report(), nil
 }
 
 // RespanReport returns a copy of rep retargeted at the pair (c1, c2):

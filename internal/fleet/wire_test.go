@@ -25,25 +25,34 @@ func render(t *testing.T, rep *core.Report) (string, string) {
 
 // TestReportWireRoundTrip: a report decoded from its wire form renders
 // byte-identically to the original — text and JSON — even though the
-// decoded report carries only stub configs.
+// decoded report carries only stub configs. Text that is not valid
+// UTF-8 would not come back intact, so it is refused.
 func TestReportWireRoundTrip(t *testing.T) {
 	rep := testReport(t)
-	wantText, wantJSON := render(t, rep)
+	// A valid U+FFFD is written raw and round-trips like any other text.
+	for _, host := range []string{rep.Config1.Hostname, "alpha\uFFFD"} {
+		rep.Config1.Hostname = host
+		wantText, wantJSON := render(t, rep)
 
-	data, err := EncodeReport(rep)
-	if err != nil {
-		t.Fatal(err)
+		data, err := EncodeReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeReport(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotText, gotJSON := render(t, got)
+		if gotText != wantText {
+			t.Fatalf("text rendering diverged:\n--- want ---\n%s\n--- got ---\n%s", wantText, gotText)
+		}
+		if gotJSON != wantJSON {
+			t.Fatalf("JSON rendering diverged:\n--- want ---\n%s\n--- got ---\n%s", wantJSON, gotJSON)
+		}
 	}
-	got, err := DecodeReport(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotText, gotJSON := render(t, got)
-	if gotText != wantText {
-		t.Fatalf("text rendering diverged:\n--- want ---\n%s\n--- got ---\n%s", wantText, gotText)
-	}
-	if gotJSON != wantJSON {
-		t.Fatalf("JSON rendering diverged:\n--- want ---\n%s\n--- got ---\n%s", wantJSON, gotJSON)
+	rep.Config1.Hostname = "alpha\xe9"
+	if _, err := EncodeReport(rep); err == nil {
+		t.Fatal("encoded a report whose text is not valid UTF-8")
 	}
 }
 

@@ -42,7 +42,19 @@ func MustParseAddr(s string) Addr {
 }
 
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	return string(a.appendTo(buf[:0]))
+}
+
+// appendTo appends the dotted-quad form of a to b.
+func (a Addr) appendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(byte(a>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(byte(a)), 10)
 }
 
 // Bit returns bit i of the address, counting from the most significant bit
@@ -122,7 +134,15 @@ func PrefixFromMask(addr, mask Addr) (Prefix, bool) {
 }
 
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.Addr, p.Len)
+	var buf [len("255.255.255.255/255")]byte
+	return string(p.appendTo(buf[:0]))
+}
+
+// appendTo appends the "a.b.c.d/len" form of p to b.
+func (p Prefix) appendTo(b []byte) []byte {
+	b = p.Addr.appendTo(b)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(p.Len), 10)
 }
 
 // NetMask returns the contiguous network mask for the prefix length.
@@ -325,7 +345,12 @@ func (r PrefixRange) Compare(s PrefixRange) int {
 }
 
 func (r PrefixRange) String() string {
-	return fmt.Sprintf("%s : %d-%d", r.Prefix, r.Lo, r.Hi)
+	var buf [len("255.255.255.255/255 : 255-255")]byte
+	b := r.Prefix.appendTo(buf[:0])
+	b = append(b, " : "...)
+	b = strconv.AppendUint(b, uint64(r.Lo), 10)
+	b = append(b, '-')
+	return string(strconv.AppendUint(b, uint64(r.Hi), 10))
 }
 
 // ParsePrefixRange parses the "a.b.c.d/len : lo-hi" form produced by

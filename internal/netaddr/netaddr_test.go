@@ -1,6 +1,8 @@
 package netaddr
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -37,7 +39,12 @@ func TestParseAddr(t *testing.T) {
 func TestAddrStringRoundTrip(t *testing.T) {
 	f := func(a uint32) bool {
 		addr := Addr(a)
-		back, err := ParseAddr(addr.String())
+		s := addr.String()
+		// fmt reference for the dotted-quad form.
+		if s != fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a)) {
+			return false
+		}
+		back, err := ParseAddr(s)
 		return err == nil && back == addr
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -329,6 +336,24 @@ func TestPrefixRangeParseRoundTrip(t *testing.T) {
 		if !back.Equal(r) {
 			t.Errorf("round trip %q -> %v -> %v", s, r, back)
 		}
+	}
+	// Any field values, canonical or not, format as the fmt reference
+	// below; a valid range parses back.
+	f := func(a uint32, plen, lo, hi uint8) bool {
+		valid := PrefixRange{Prefix: NewPrefix(Addr(a), plen%33), Lo: lo % 33, Hi: hi % 33}
+		for _, r := range []PrefixRange{{Prefix: Prefix{Addr: Addr(a), Len: plen}, Lo: lo, Hi: hi}, valid} {
+			x := r.Prefix.Addr
+			want := fmt.Sprintf("%d.%d.%d.%d/%d : %d-%d",
+				byte(x>>24), byte(x>>16), byte(x>>8), byte(x), r.Prefix.Len, r.Lo, r.Hi)
+			if r.String() != want || r.Prefix.String() != want[:strings.IndexByte(want, ' ')] {
+				return false
+			}
+		}
+		back, err := ParsePrefixRange(valid.String())
+		return err == nil && back == valid
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 	if _, err := ParsePrefixRange("10.0.0.0/8 : 8"); err == nil {
 		t.Error("should reject missing high bound")

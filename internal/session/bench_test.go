@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -76,6 +77,42 @@ func BenchmarkSessionIncremental(b *testing.B) {
 			b.Fatalf("iteration %d: %+v", i, res)
 		}
 	}
+}
+
+// BenchmarkSessionFreshEdit: the daemon's cost for an edit it has never
+// seen. Each iteration appends a new /32 static route to one device, so
+// the device lands in a fresh class and its rep pairs are diffed and
+// stored — the write path BenchmarkSessionIncremental's cached toggle
+// never reaches.
+func BenchmarkSessionFreshEdit(b *testing.B) {
+	snaps, names := benchSnapshots()
+	ctx := context.Background()
+	s := New(Options{})
+	for name, raw := range snaps {
+		if _, err := s.Ingest(ctx, name, raw, "seed", false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := s.Audit(ctx); err != nil {
+		b.Fatal(err)
+	}
+
+	name := names[len(names)/2]
+	base := snaps[name]
+	repDiffs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		route := fmt.Sprintf("ip route 10.78.%d.%d 255.255.255.255 10.0.0.254\n", i>>8&255, i&255)
+		res, err := s.Ingest(ctx, name, append(base[:len(base):len(base)], route...), "push", true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Op != "ingest" || res.Audit == nil || res.Audit.RepComputed == 0 {
+			b.Fatalf("iteration %d re-diffed no representative pair: %+v", i, res)
+		}
+		repDiffs += res.Audit.RepComputed
+	}
+	b.ReportMetric(float64(repDiffs)/float64(b.N), "repdiffs/op")
 }
 
 // BenchmarkSessionColdWarmCache: the batch alternative to the daemon —

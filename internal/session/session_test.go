@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/campion"
@@ -115,6 +116,10 @@ func applyEdit(raw []byte, kind int, salt int) []byte {
 // cold DiffFleet over the same snapshot set.
 func TestIncrementalMatchesCold(t *testing.T) {
 	snaps := fleetSnapshots(14, 7)
+	// One device names a route-map (and references it) with a byte that
+	// is not valid UTF-8: reports the store serves on later audits must
+	// render it exactly as the first audit's fresh diffs did.
+	snaps["fleet-0000"] = bytes.ReplaceAll(snaps["fleet-0000"], []byte("CUSTOMER-IN"), []byte("CUSTOMER\xff-IN"))
 	s := New(Options{})
 	seedSession(t, s, snaps)
 
@@ -166,9 +171,12 @@ func TestIncrementalRehashOnlyEdited(t *testing.T) {
 	snaps := fleetSnapshots(12, 3)
 	journal := obs.NewJournal(nil)
 	var hashKinds map[string][]string
+	var mu sync.Mutex // hash events arrive from concurrent device workers
 	journal.Listen(func(e obs.Event) {
 		if e.Type == obs.EvHash {
+			mu.Lock()
 			hashKinds[e.Kind] = append(hashKinds[e.Kind], e.Device)
+			mu.Unlock()
 		}
 	})
 	hashKinds = map[string][]string{}
