@@ -114,19 +114,37 @@ func pairError(name string, kind, cause error) error {
 // isolated crash — land in the pair's BatchResult as *PairError, never
 // abort the batch, and leave the returned error nil.
 func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]BatchResult, error) {
+	jobs := make([][2]int, len(pairs))
+	for i := range jobs {
+		jobs[i] = [2]int{i, -1}
+	}
+	results, _, err := diffBatch(ctx, pairs, jobs, opts)
+	return results, err
+}
+
+// diffBatch is DiffBatch over explicit jobs. A job {i, -1} diffs pair i;
+// a job {i, m} diffs pair i and its mirror m — pair m is pair i with the
+// sides swapped — in one core.DiffBoth pass. When that pass fails or
+// cannot derive the reverse, pair m is diffed on its own, so its result
+// (error labels and provenance included) is exactly a lone diff's.
+// mirrored[m] reports that pair m's report came from a joint pass; its
+// journal pair event carries Op "mirror". Every pair appears in exactly
+// one job.
+func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts BatchOptions) (results []BatchResult, mirrored []bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]BatchResult, len(pairs))
+	results = make([]BatchResult, len(pairs))
+	mirrored = make([]bool, len(pairs))
 	workers := opts.BatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pairs) {
-		workers = len(pairs)
+	if workers > len(jobList) {
+		workers = len(jobList)
 	}
 	if len(pairs) == 0 {
-		return results, ctx.Err()
+		return results, mirrored, ctx.Err()
 	}
 	inner := opts.Options
 	if inner.Workers == 0 {
@@ -148,7 +166,7 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 	if opts.CacheDir != "" {
 		var err error
 		if fstore, err = fleet.OpenStore(opts.CacheDir); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		optsFP = fleet.OptionsFingerprint(inner)
 	}
@@ -175,7 +193,7 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 		pairsDone = inner.Metrics.Counter("campion_pairs_total", "pair comparisons completed")
 	}
 
-	jobs := make(chan int)
+	jobs := make(chan [2]int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -201,21 +219,12 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 			if bsp != nil {
 				wsp = bsp.Child("worker", obs.Int("worker", w))
 			}
-			var wait, busy time.Duration
-			mark := time.Now()
-			for i := range jobs {
-				start := time.Now()
-				wait += start.Sub(mark)
+			// diffPair computes pair i's result, from the store when it
+			// holds one ("cached"). A non-nil rev asks for a joint pass,
+			// which leaves the reverse report there.
+			diffPair := func(i int, inner core.Options, rev **Report) (BatchResult, string) {
 				p := pairs[i]
 				res := BatchResult{Name: p.Name}
-				var psp *obs.Span
-				if wsp != nil {
-					psp = wsp.Child("pair", obs.Str("pair", p.Name))
-				}
-				inner := inner
-				inner.TraceParent = psp
-				inner.JournalPair = p.Name
-				served := false
 				switch {
 				case batchCtxErr(ctx) != nil:
 					res.Err = pairError(p.Name, ErrCanceled, batchCtxErr(ctx))
@@ -228,16 +237,33 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 						h1, h2 = hashFor(p.Config1), hashFor(p.Config2)
 						if rep, ok := fstore.GetReport(h1, h2, optsFP); ok {
 							res.Report = fleet.RespanReport(rep, p.Config1, p.Config2)
-							served = true
+							return res, "cached"
 						}
 					}
-					if !served {
+					if rev != nil {
+						res.Report, *rev, res.Err = core.DiffBoth(ctx, p.Config1, p.Config2, inner)
+					} else {
 						res.Report, res.Err = DiffContext(ctx, p.Config1, p.Config2, inner)
-						if fstore != nil && res.Err == nil {
-							fstore.PutReport(h1, h2, optsFP, res.Report)
-						}
+					}
+					if fstore != nil && res.Err == nil {
+						fstore.PutReport(h1, h2, optsFP, res.Report)
 					}
 				}
+				return res, ""
+			}
+			// record runs pair i under its span and journal label, then
+			// books its result.
+			record := func(i int, compute func(inner core.Options) (BatchResult, string)) {
+				start := time.Now()
+				p := pairs[i]
+				var psp *obs.Span
+				if wsp != nil {
+					psp = wsp.Child("pair", obs.Str("pair", p.Name))
+				}
+				inner := inner
+				inner.TraceParent = psp
+				inner.JournalPair = p.Name
+				res, op := compute(inner)
 				results[i] = res
 				diffs := 0
 				var nodes int64
@@ -259,24 +285,48 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 				if res.Err != nil {
 					run.PairFailed(kind)
 				}
-				mark = time.Now()
-				pe := obs.Event{Type: obs.EvPair, Pair: p.Name,
-					Dur: int64(mark.Sub(start)), Diffs: diffs, Nodes: nodes, Err: kind}
-				if served {
-					pe.Op = "cached"
-				}
-				inner.Journal.Emit(pe)
+				end := time.Now()
+				inner.Journal.Emit(obs.Event{Type: obs.EvPair, Pair: p.Name, Op: op,
+					Dur: int64(end.Sub(start)), Diffs: diffs, Nodes: nodes, Err: kind})
 				if opts.OnResult != nil {
 					opts.OnResult(i, res)
 				}
-				busy += mark.Sub(start)
-				pairLatency.Observe(int64(mark.Sub(start)))
+				pairLatency.Observe(int64(end.Sub(start)))
 				pairsDone.Inc()
 				if res.Err != nil && inner.Metrics != nil {
 					inner.Metrics.Counter("campion_pair_errors_total",
 						"pair comparisons that errored, by failure kind",
 						obs.L("kind", kind)).Inc()
 				}
+			}
+			var wait, busy time.Duration
+			mark := time.Now()
+			for job := range jobs {
+				start := time.Now()
+				wait += start.Sub(mark)
+				i, m := job[0], job[1]
+				var rev *Report
+				record(i, func(inner core.Options) (BatchResult, string) {
+					if m < 0 {
+						return diffPair(i, inner, nil)
+					}
+					return diffPair(i, inner, &rev)
+				})
+				if m >= 0 {
+					record(m, func(inner core.Options) (BatchResult, string) {
+						if rev == nil {
+							return diffPair(m, inner, nil)
+						}
+						mirrored[m] = true
+						p := pairs[m]
+						if fstore != nil {
+							fstore.PutReport(hashFor(p.Config1), hashFor(p.Config2), optsFP, rev)
+						}
+						return BatchResult{Name: p.Name, Report: rev}, "mirror"
+					})
+				}
+				mark = time.Now()
+				busy += mark.Sub(start)
 			}
 			wait += time.Since(mark)
 			if wsp != nil {
@@ -293,22 +343,27 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 		}(w)
 	}
 feed:
-	for i := range pairs {
+	for k, job := range jobList {
 		select {
-		case jobs <- i:
+		case jobs <- job:
 		case <-ctx.Done():
 			// Mark everything not yet handed out; the workers drain the
 			// closed channel below. Kind bookkeeping matches the worker
 			// path so the run summary counts these pairs too.
-			for j := i; j < len(pairs); j++ {
-				results[j] = BatchResult{Name: pairs[j].Name,
-					Err: pairError(pairs[j].Name, ErrCanceled, ctx.Err())}
-				run.PairDone(0, true)
-				run.PairFailed("canceled")
-				inner.Journal.Emit(obs.Event{Type: obs.EvPair,
-					Pair: pairs[j].Name, Err: "canceled"})
-				if opts.OnResult != nil {
-					opts.OnResult(j, results[j])
+			for _, job := range jobList[k:] {
+				for _, j := range job {
+					if j < 0 {
+						continue
+					}
+					results[j] = BatchResult{Name: pairs[j].Name,
+						Err: pairError(pairs[j].Name, ErrCanceled, ctx.Err())}
+					run.PairDone(0, true)
+					run.PairFailed("canceled")
+					inner.Journal.Emit(obs.Event{Type: obs.EvPair,
+						Pair: pairs[j].Name, Err: "canceled"})
+					if opts.OnResult != nil {
+						opts.OnResult(j, results[j])
+					}
 				}
 			}
 			break feed
@@ -316,7 +371,7 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-	return results, batchCtxErr(ctx)
+	return results, mirrored, batchCtxErr(ctx)
 }
 
 // DiffAll compares every unordered pair of the given configurations —

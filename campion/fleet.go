@@ -105,6 +105,10 @@ type FleetStats struct {
 	// run needed; RepComputed of those were actually diffed (the rest
 	// came from the persistent cache).
 	RepPairs, RepComputed int
+	// RepMirrored counts the computed pairs whose report came from the
+	// joint pass of their mirror: when both (a, b) and (b, a) are missing,
+	// one core.DiffBoth pass yields both. It is a subset of RepComputed.
+	RepMirrored int
 	// ExpandedPairs is the number of member pairs the results cover —
 	// the naive all-pairs count.
 	ExpandedPairs int
@@ -480,7 +484,8 @@ func (r *FleetResult) neededOrientations() [][2]int {
 
 // diffRepresentatives resolves every needed ordered class pair: from the
 // persistent cache when possible, otherwise by actually diffing the two
-// class representatives on the batch worker pool. Each resolved
+// class representatives on the batch worker pool, both orientations of
+// a class pair in one joint job. Each resolved
 // orientation advances the fleet run's coverage by the member pairs it
 // expands to, so /runs progresses as representatives finish, not at the
 // end.
@@ -559,11 +564,28 @@ func diffRepresentatives(ctx context.Context, r *FleetResult, store *fleet.Store
 	}
 	live := make([]ConfigPair, 0, len(pairs))
 	liveKey := make([][2]int, 0, len(pairs))
+	liveIdx := map[[2]int]int{}
 	for n, p := range pairs {
 		if p.Config1 != nil {
+			liveIdx[missing[n]] = len(live)
 			live = append(live, p)
 			liveKey = append(liveKey, missing[n])
 		}
+	}
+	// Both orientations of a class pair missing: one joint job diffs
+	// them in a single pass (the edited singleton of a daemon write is
+	// needed both ways against every template class).
+	var jobs [][2]int
+	paired := make([]bool, len(live))
+	for n, key := range liveKey {
+		if paired[n] {
+			continue
+		}
+		job := [2]int{n, -1}
+		if m, ok := liveIdx[[2]int{key[1], key[0]}]; ok {
+			job[1], paired[m] = m, true
+		}
+		jobs = append(jobs, job)
 	}
 	// Advance coverage from inside the batch, as each representative pair
 	// resolves — this is what makes a long rep-pair phase watchable.
@@ -579,12 +601,15 @@ func diffRepresentatives(ctx context.Context, r *FleetResult, store *fleet.Store
 			userOnResult(n, res)
 		}
 	}
-	results, err := DiffBatch(ctx, live, batch)
+	results, mirrored, err := diffBatch(ctx, live, jobs, batch)
 	for n, res := range results {
 		key := liveKey[n]
 		if res.Err != nil {
 			r.repErr[key] = res.Err
 			continue
+		}
+		if mirrored[n] {
+			r.Stats.RepMirrored++
 		}
 		r.repRep[key] = res.Report
 		if store != nil {

@@ -2,6 +2,7 @@ package campiontest_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -101,5 +102,75 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Errorf("oracle harness: %s", v)
 			}
 		})
+	}
+}
+
+// TestGoldenCorpusMirror: for every golden pair (a, b), the reverse
+// report of one joint pass renders — as tables and as JSON —
+// byte-identical to an independent Diff(b, a), under the default
+// options and every kernel mode of TestGoldenCorpus.
+func TestGoldenCorpusMirror(t *testing.T) {
+	entries, err := os.ReadDir("golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(rep *campion.Report) []byte {
+		var buf bytes.Buffer
+		if err := campion.Write(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		js, err := campion.JSON(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(buf.Bytes(), js...)
+	}
+	pairs := 0
+	for _, e := range entries {
+		if !e.IsDir() || e.Name() == "repair" {
+			continue
+		}
+		pairs++
+		dir := filepath.Join("golden", e.Name())
+		cfg1, err := campion.LoadFile(filepath.Join(dir, "a.cfg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg2, err := campion.LoadFile(filepath.Join(dir, "b.cfg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, opts := range map[string]campion.Options{
+			"default": {},
+			"reorder": {Reorder: true},
+			"workers": {Workers: 4},
+			"gc":      {Workers: 1, GC: true, PolicyCache: core.NewPolicyCache()},
+			"all":     {Workers: 4, Reorder: true, GC: true},
+		} {
+			fwd, rev, err := core.DiffBoth(context.Background(), cfg1, cfg2, opts)
+			if err != nil {
+				t.Fatalf("%s mode %s: %v", e.Name(), name, err)
+			}
+			if rev == nil {
+				t.Fatalf("%s mode %s: joint pass derived no reverse report", e.Name(), name)
+			}
+			wantFwd, err := campion.Diff(cfg1, cfg2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRev, err := campion.Diff(cfg2, cfg1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := render(fwd), render(wantFwd); !bytes.Equal(got, want) {
+				t.Errorf("%s mode %s: forward report diverges\n--- joint ---\n%s\n--- lone ---\n%s", e.Name(), name, got, want)
+			}
+			if got, want := render(rev), render(wantRev); !bytes.Equal(got, want) {
+				t.Errorf("%s mode %s: reverse report diverges\n--- joint ---\n%s\n--- lone ---\n%s", e.Name(), name, got, want)
+			}
+		}
+	}
+	if pairs < 10 {
+		t.Fatalf("golden corpus has %d pairs, want at least 10", pairs)
 	}
 }

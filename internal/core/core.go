@@ -438,6 +438,31 @@ func Diff(c1, c2 *ir.Config, opts Options) (*Report, error) {
 // Options.MaxNodes bounds each semantic task's BDD allocation
 // (ErrBudget). A nil ctx means context.Background().
 func DiffContext(ctx context.Context, c1, c2 *ir.Config, opts Options) (*Report, error) {
+	rep, _, err := diffContext(ctx, c1, c2, opts, false)
+	return rep, err
+}
+
+// DiffBoth compares the two configurations in both orientations in one
+// pass: one encoding, one path enumeration per side, one class product
+// and one localization per region. fwd is byte-for-byte the report
+// DiffContext(ctx, c1, c2, opts) returns, with the same error. rev is the
+// report of DiffContext(ctx, c2, c1, opts), without Stats: SemanticDiff's
+// regions are symmetric, so rev holds the same localized regions with
+// the sides swapped, in the order a (c2, c1) run emits them (see
+// DESIGN.md). rev is nil whenever err is non-nil or the reverse could
+// not be derived; the caller then diffs (c2, c1) on its own.
+func DiffBoth(ctx context.Context, c1, c2 *ir.Config, opts Options) (fwd, rev *Report, err error) {
+	return diffContext(ctx, c1, c2, opts, true)
+}
+
+// mirror collects the reverse report of a DiffBoth pass alongside the
+// forward one.
+type mirror struct {
+	rep  *Report
+	lost bool // a component could not derive its reverse half
+}
+
+func diffContext(ctx context.Context, c1, c2 *ir.Config, opts Options, both bool) (*Report, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -447,6 +472,10 @@ func DiffContext(ctx context.Context, c1, c2 *ir.Config, opts Options) (*Report,
 		defer cancel()
 	}
 	rep := &Report{Config1: c1, Config2: c2}
+	var mir *mirror
+	if both {
+		mir = &mirror{rep: &Report{Config1: c2, Config2: c1}}
+	}
 	dsp := opts.diffSpan(c1, c2)
 	defer dsp.End()
 
@@ -486,9 +515,14 @@ func DiffContext(ctx context.Context, c1, c2 *ir.Config, opts Options) (*Report,
 		rep.Stats = append(rep.Stats, st)
 		return err
 	}
-	structural := func(fn func() []structdiff.Difference) func(*ComponentStats, *obs.Span) error {
+	// Structural checks are cheap: a joint pass simply runs them again
+	// with the sides swapped.
+	structural := func(fn func(a, b *ir.Config) []structdiff.Difference) func(*ComponentStats, *obs.Span) error {
 		return func(st *ComponentStats, _ *obs.Span) error {
-			rep.Structural = append(rep.Structural, fn()...)
+			rep.Structural = append(rep.Structural, fn(c1, c2)...)
+			if mir != nil {
+				mir.rep.Structural = append(mir.rep.Structural, fn(c2, c1)...)
+			}
 			return nil
 		}
 	}
@@ -498,37 +532,36 @@ func DiffContext(ctx context.Context, c1, c2 *ir.Config, opts Options) (*Report,
 		fn func(st *ComponentStats, sp *obs.Span) error
 	}{
 		{ComponentRouteMaps, func(st *ComponentStats, sp *obs.Span) error {
-			return diffRouteMaps(ctx, rep, c1, c2, opts, st, sp)
+			return diffRouteMaps(ctx, rep, mir, c1, c2, opts, st, sp)
 		}},
 		{ComponentACLs, func(st *ComponentStats, sp *obs.Span) error {
-			return diffACLs(ctx, rep, c1, c2, opts, st, sp)
+			return diffACLs(ctx, rep, mir, c1, c2, opts, st, sp)
 		}},
-		{ComponentStatic, structural(func() []structdiff.Difference {
-			return structdiff.DiffStaticRoutes(c1, c2)
+		{ComponentStatic, structural(structdiff.DiffStaticRoutes)},
+		{ComponentConnected, structural(structdiff.DiffConnectedRoutes)},
+		{ComponentBGP, structural(func(a, b *ir.Config) []structdiff.Difference {
+			return append(structdiff.DiffBGPConfig(a, b), structdiff.DiffBGPNeighbors(a, b)...)
 		})},
-		{ComponentConnected, structural(func() []structdiff.Difference {
-			return structdiff.DiffConnectedRoutes(c1, c2)
-		})},
-		{ComponentBGP, structural(func() []structdiff.Difference {
-			return append(structdiff.DiffBGPConfig(c1, c2), structdiff.DiffBGPNeighbors(c1, c2)...)
-		})},
-		{ComponentOSPF, structural(func() []structdiff.Difference {
-			return structdiff.DiffOSPF(c1, c2)
-		})},
-		{ComponentAdmin, structural(func() []structdiff.Difference {
-			return structdiff.DiffAdminDistances(c1, c2)
-		})},
+		{ComponentOSPF, structural(structdiff.DiffOSPF)},
+		{ComponentAdmin, structural(structdiff.DiffAdminDistances)},
 	}
 	for _, check := range checks {
 		if err := timed(check.c, check.fn); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if opts.Metrics != nil {
-		opts.Metrics.Counter(MetricDiffsFound, "localized differences reported").
-			Add(uint64(rep.TotalDifferences()))
+	var rev *Report
+	if mir != nil && !mir.lost {
+		rev = mir.rep
 	}
-	return rep, nil
+	if opts.Metrics != nil {
+		n := rep.TotalDifferences()
+		if rev != nil {
+			n += rev.TotalDifferences()
+		}
+		opts.Metrics.Counter(MetricDiffsFound, "localized differences reported").Add(uint64(n))
+	}
+	return rep, rev, nil
 }
 
 // MatchPolicies pairs up the routing policies of the two configurations
@@ -632,30 +665,34 @@ func ResolveChain(cfg *ir.Config, names []string) *ir.RouteMap {
 // maxCommunityTerms bounds exhaustive community localization output.
 const maxCommunityTerms = 64
 
+// policyPairs lists the policy pairs the route-map component compares:
+// MatchPolicies, or — with no BGP context — same-named route maps, so
+// standalone policy files can still be checked.
+func policyPairs(c1, c2 *ir.Config) []PolicyPair {
+	if pairs := MatchPolicies(c1, c2); len(pairs) > 0 {
+		return pairs
+	}
+	var names []string
+	for n := range c1.RouteMaps {
+		if _, ok := c2.RouteMaps[n]; ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	var pairs []PolicyPair
+	for _, n := range names {
+		pairs = append(pairs, newPolicyPair("route-map", n, []string{n}, []string{n}))
+	}
+	return pairs
+}
+
 // diffRouteMaps runs the SemanticDiff of every matched policy pair over
 // the parallel engine and assembles the localized differences in matched
 // order. The first failed task's structured error aborts the pair (the
-// batch layer isolates it from sibling pairs).
-func diffRouteMaps(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options, stats *ComponentStats, span *obs.Span) error {
-	pairs := MatchPolicies(c1, c2)
-	if len(pairs) == 0 {
-		// No BGP context: compare same-named route maps directly, so
-		// standalone policy files can still be checked.
-		names := map[string]bool{}
-		for n := range c1.RouteMaps {
-			if _, ok := c2.RouteMaps[n]; ok {
-				names[n] = true
-			}
-		}
-		var sorted []string
-		for n := range names {
-			sorted = append(sorted, n)
-		}
-		sort.Strings(sorted)
-		for _, n := range sorted {
-			pairs = append(pairs, newPolicyPair("route-map", n, []string{n}, []string{n}))
-		}
-	}
+// batch layer isolates it from sibling pairs). With a mirror it also
+// assembles the (c2, c1) differences from the same task results.
+func diffRouteMaps(ctx context.Context, rep *Report, mir *mirror, c1, c2 *ir.Config, opts Options, stats *ComponentStats, span *obs.Span) error {
+	pairs := policyPairs(c1, c2)
 	if len(pairs) == 0 {
 		return nil
 	}
@@ -726,7 +763,49 @@ func diffRouteMaps(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Opt
 	// Avoid re-reporting shared policies per neighbor: collapse exact
 	// duplicates (same pair names and same localization text).
 	rep.RouteMapDiffs = dedupeRouteMapDiffs(rep.RouteMapDiffs)
+	if mir != nil {
+		mirrorRouteMaps(mir, c1, c2, taskIndex, results)
+	}
 	return nil
+}
+
+// mirrorRouteMaps assembles the (c2, c1) route-map differences from the
+// forward task results. A (c2, c1) run compares each chain pair with the
+// sides swapped: the same class product, emitted with the loops swapped,
+// so its differences are the forward ones with the sides exchanged, in
+// (key2, key1) order. The pair walk and the dedupe are replayed over
+// (c2, c1)'s own policy pairs.
+func mirrorRouteMaps(mir *mirror, c1, c2 *ir.Config, taskIndex map[string]int, results []rmTaskResult) {
+	swapped := make([][]localizedRouteDiff, len(results))
+	var out []RouteMapDiff
+	for _, pair := range policyPairs(c2, c1) {
+		ti, ok := taskIndex[chainKeyOf(pair.Names2, pair.Names1)]
+		if !ok {
+			mir.lost = true
+			return
+		}
+		if swapped[ti] == nil && len(results[ti].diffs) > 0 {
+			ds := append([]localizedRouteDiff(nil), results[ti].diffs...)
+			sort.Slice(ds, func(i, j int) bool {
+				if ds[i].key2 != ds[j].key2 {
+					return ds[i].key2.less(ds[j].key2)
+				}
+				return ds[i].key1.less(ds[j].key1)
+			})
+			swapped[ti] = ds
+		}
+		for _, d := range swapped[ti] {
+			out = append(out, RouteMapDiff{
+				Pair:         pair,
+				Localization: d.Localization,
+				Action1:      d.Action2,
+				Action2:      d.Action1,
+				Text1:        d.Text2,
+				Text2:        d.Text1,
+			})
+		}
+	}
+	mir.rep.RouteMapDiffs = dedupeRouteMapDiffs(out)
 }
 
 func dedupeRouteMapDiffs(ds []RouteMapDiff) []RouteMapDiff {
@@ -799,8 +878,9 @@ func aclPairFailure(r any, name string, acl1 *ir.ACL) error {
 // recycled between its ACL pairs, so no allocation happens until a worker
 // actually holds a job. Every pair runs under the fault guard — a budget
 // or cancellation abort (or a crash) fails this configuration pair with a
-// structured error while other workers' pairs still compute.
-func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options, stats *ComponentStats, span *obs.Span) error {
+// structured error while other workers' pairs still compute. With a
+// mirror it also assembles the (c2, c1) differences.
+func diffACLs(ctx context.Context, rep *Report, mir *mirror, c1, c2 *ir.Config, opts Options, stats *ComponentStats, span *obs.Span) error {
 	// MatchPolicies for ACLs: same name (§4).
 	var shared []string
 	for name := range c1.ACLs {
@@ -825,6 +905,7 @@ func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options,
 	}
 
 	perName := make([][]ACLPairDiff, len(shared))
+	perKeys := make([][][2]int, len(shared)) // each diff's two class positions
 	perErr := make([]error, len(shared))
 	workers := opts.workerCount(len(shared))
 	stats.Workers = workers
@@ -871,8 +952,8 @@ func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options,
 						// One oversized pair with idle workers: partition it
 						// across source-address regions instead of leaving
 						// the pool starved (see stripe.go).
-						ds, st, err := runStripedACLPair(ctx, name, acl1, acl2, stripes, opts)
-						perName[i], perErr[i] = ds, err
+						ds, keys, st, err := runStripedACLPair(ctx, name, acl1, acl2, stripes, opts)
+						perName[i], perKeys[i], perErr[i] = ds, keys, err
 						nodes += st.Nodes
 						hits += st.CacheHits
 						misses += st.CacheMisses
@@ -906,6 +987,7 @@ func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options,
 								Text1:        aclPathText(d.Path1),
 								Text2:        aclPathText(d.Path2),
 							})
+							perKeys[i] = append(perKeys[i], [2]int{d.Index1, d.Index2})
 						}
 					}
 					st := f.Stats()
@@ -953,7 +1035,43 @@ func diffACLs(ctx context.Context, rep *Report, c1, c2 *ir.Config, opts Options,
 			return err
 		}
 	}
+	if mir != nil {
+		mirrorACLs(mir.rep, rep, perName, perKeys)
+	}
 	return nil
+}
+
+// mirrorACLs assembles the (c2, c1) ACL differences: the same shared
+// names and regions, each ACL's differences with the sides exchanged and
+// put in (key2, key1) order — the order a (c2, c1) run's class product
+// emits them — and the unmatched-name lists swapped.
+func mirrorACLs(rev, rep *Report, perName [][]ACLPairDiff, perKeys [][][2]int) {
+	rev.UnmatchedACLs1, rev.UnmatchedACLs2 = rep.UnmatchedACLs2, rep.UnmatchedACLs1
+	for i, ds := range perName {
+		keys := perKeys[i]
+		order := make([]int, len(ds))
+		for k := range order {
+			order[k] = k
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ka, kb := keys[order[a]], keys[order[b]]
+			if ka[1] != kb[1] {
+				return ka[1] < kb[1]
+			}
+			return ka[0] < kb[0]
+		})
+		for _, k := range order {
+			d := ds[k]
+			rev.ACLDiffs = append(rev.ACLDiffs, ACLPairDiff{
+				Name1: d.Name2, Name2: d.Name1,
+				Localization: d.Localization,
+				Action1:      d.Action2,
+				Action2:      d.Action1,
+				Text1:        d.Text2,
+				Text2:        d.Text1,
+			})
+		}
+	}
 }
 
 func describeACLAction(accept bool) string {

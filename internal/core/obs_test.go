@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cisco"
 	"repro/internal/obs"
 )
 
@@ -144,12 +145,27 @@ func TestPolicyCacheStatsDelta(t *testing.T) {
 		t.Error("second call recorded no policy-cache hits")
 	}
 
-	// A different pair forces an encoding rebuild, which Resets the
-	// factory; the delta must not go negative.
-	c3, c4 := syntheticFleetPair(t, 2, 1)
+	if pc.Rebuilds != 1 {
+		t.Fatalf("rebuilds after two calls on one pair = %d, want 1", pc.Rebuilds)
+	}
+
+	// A pair whose vocabulary the first lacks (a community atom) forces an
+	// encoding rebuild, which Resets the factory; the delta must not go
+	// negative.
+	c3, err := cisco.Parse("r3.cfg", "hostname r3\nroute-map POL0 permit 10\n set local-preference 100\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c4, err := cisco.Parse("r4.cfg", "hostname r4\nroute-map POL0 permit 10\n set community 65001:7\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 	third, err := Diff(c3, c4, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pc.Rebuilds != 2 {
+		t.Fatalf("rebuilds after a new vocabulary = %d, want 2", pc.Rebuilds)
 	}
 	if st3 := third.Stats[0]; st3.BDDNodes <= 0 {
 		t.Errorf("post-rebuild call charged %d nodes, want > 0", st3.BDDNodes)

@@ -112,10 +112,63 @@ func (t rmTask) label() string {
 
 // localizedRouteDiff is a factory-independent difference: everything the
 // report needs, with no live BDD nodes, so it can safely cross goroutines.
+// key1 and key2 place its two path classes in their sides' enumeration
+// orders; a task's differences come out in (key1, key2) order.
 type localizedRouteDiff struct {
 	Localization     headerloc.RouteLocalization
 	Action1, Action2 string
 	Text1, Text2     ir.TextSpan
+	key1, key2       sideKey
+}
+
+// sideKey is a path class's place in its side's enumeration order: idx is
+// its index in the plain product loop, path the DFS path key a striped
+// merge sorts by (pathKey). One task sets only one of the two.
+type sideKey struct {
+	idx  int
+	path string
+}
+
+func (a sideKey) less(b sideKey) bool {
+	if a.idx != b.idx {
+		return a.idx < b.idx
+	}
+	return a.path < b.path
+}
+
+// localizeRouteDiff renders one difference on the factory its input set
+// lives on.
+func localizeRouteDiff(loc *headerloc.RouteLocalizer, d semdiff.RouteMapDiff, opts Options, key1, key2 sideKey) localizedRouteDiff {
+	localization := loc.Localize(d.Inputs)
+	if opts.ExhaustiveCommunities {
+		localization.CommunityTerms, localization.CommunityComplete =
+			loc.LocalizeCommunities(d.Inputs, maxCommunityTerms)
+	}
+	return localizedRouteDiff{
+		Localization: localization,
+		Action1:      describeRouteAction(d.Path1),
+		Action2:      describeRouteAction(d.Path2),
+		Text1:        routePathText(d.Path1),
+		Text2:        routePathText(d.Path2),
+		key1:         key1,
+		key2:         key2,
+	}
+}
+
+// lazyLocalizer builds a pair's route localizer the first time a task
+// finds a difference. Most chain comparisons find none, and then the
+// ddNF DAG over the pair's prefix vocabulary is never built.
+type lazyLocalizer struct {
+	enc    *symbolic.RouteEncoding
+	c1, c2 *ir.Config
+	loc    *headerloc.RouteLocalizer
+}
+
+func (l *lazyLocalizer) get() *headerloc.RouteLocalizer {
+	if l.loc == nil {
+		l.loc = headerloc.NewRouteLocalizer(l.enc, l.c1, l.c2)
+	}
+	return l.loc
 }
 
 type rmTaskResult struct {
@@ -161,7 +214,7 @@ func buildFailure(r any, c1 *ir.Config) error {
 // memo tables store only fully-built entries), so the caller may keep
 // using them for sibling tasks — only an ErrInternal panic leaves state
 // unknown.
-func guardedRouteMapTask(ctx context.Context, enc *symbolic.RouteEncoding, loc *headerloc.RouteLocalizer, pc *PolicyCache, c1, c2 *ir.Config, t rmTask, opts Options, parent *obs.Span) (res rmTaskResult) {
+func guardedRouteMapTask(ctx context.Context, enc *symbolic.RouteEncoding, loc *lazyLocalizer, pc *PolicyCache, c1, c2 *ir.Config, t rmTask, opts Options, parent *obs.Span) (res rmTaskResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = rmTaskResult{err: taskFailure(r, c1, c2, t)}
@@ -221,7 +274,7 @@ func runRouteMapTasks(ctx context.Context, c1, c2 *ir.Config, tasks []rmTask, op
 			wsp = span.Child("worker", obs.Int("worker", w))
 		}
 		var enc *symbolic.RouteEncoding
-		var loc *headerloc.RouteLocalizer
+		var loc *lazyLocalizer
 		var pc *PolicyCache
 		var buildErr error
 		// build constructs the worker's symbolic state under the same
@@ -235,7 +288,7 @@ func runRouteMapTasks(ctx context.Context, c1, c2 *ir.Config, tasks []rmTask, op
 				}
 			}()
 			e := symbolic.NewRouteEncodingIntoOrdered(newArmedFactory(ctx, opts), opts.routeOrder, c1, c2)
-			loc = headerloc.NewRouteLocalizer(e, c1, c2)
+			loc = &lazyLocalizer{enc: e, c1: c1, c2: c2}
 			pc = newWorkerPolicyCache(e)
 			enc = e
 		}
@@ -339,7 +392,6 @@ func runRouteMapTasksCached(ctx context.Context, c1, c2 *ir.Config, tasks []rmTa
 	}
 
 	var enc *symbolic.RouteEncoding
-	var loc *headerloc.RouteLocalizer
 	var buildErr error
 	func() {
 		defer func() {
@@ -348,7 +400,6 @@ func runRouteMapTasksCached(ctx context.Context, c1, c2 *ir.Config, tasks []rmTa
 			}
 		}()
 		enc = pc.encodingFor(ctx, c1, c2, opts)
-		loc = headerloc.NewRouteLocalizer(enc, c1, c2)
 	}()
 	if buildErr != nil {
 		for i := range tasks {
@@ -361,6 +412,7 @@ func runRouteMapTasksCached(ctx context.Context, c1, c2 *ir.Config, tasks []rmTa
 		st0 = bdd.Stats{Nodes: 1}
 		memo0 = symbolic.MemoStats{}
 	}
+	loc := &lazyLocalizer{enc: enc, c1: c1, c2: c2}
 	poisoned := false
 	for i := range tasks {
 		results[i] = guardedRouteMapTask(ctx, enc, loc, pc, c1, c2, tasks[i], opts, span)
@@ -411,7 +463,7 @@ func runRouteMapTasksCached(ctx context.Context, c1, c2 *ir.Config, tasks []rmTa
 // goes through the worker's policy cache. The parent span receives one
 // "chain-pair" child covering compile + compare + localize, annotated
 // with the chain names and whether the compilations were cache recalls.
-func runRouteMapTask(enc *symbolic.RouteEncoding, loc *headerloc.RouteLocalizer, pc *PolicyCache, c1, c2 *ir.Config, t rmTask, opts Options, parent *obs.Span) (res rmTaskResult) {
+func runRouteMapTask(enc *symbolic.RouteEncoding, loc *lazyLocalizer, pc *PolicyCache, c1, c2 *ir.Config, t rmTask, opts Options, parent *obs.Span) (res rmTaskResult) {
 	var tsp *obs.Span
 	if parent != nil {
 		tsp = parent.Child("chain-pair",
@@ -431,20 +483,13 @@ func runRouteMapTask(enc *symbolic.RouteEncoding, loc *headerloc.RouteLocalizer,
 		return rmTaskResult{err: err}
 	}
 	diffs := semdiff.DiffRouteMapPaths(enc, paths1, paths2)
+	if len(diffs) == 0 {
+		return rmTaskResult{}
+	}
+	l := loc.get()
 	out := make([]localizedRouteDiff, 0, len(diffs))
 	for _, d := range diffs {
-		localization := loc.Localize(d.Inputs)
-		if opts.ExhaustiveCommunities {
-			localization.CommunityTerms, localization.CommunityComplete =
-				loc.LocalizeCommunities(d.Inputs, maxCommunityTerms)
-		}
-		out = append(out, localizedRouteDiff{
-			Localization: localization,
-			Action1:      describeRouteAction(d.Path1),
-			Action2:      describeRouteAction(d.Path2),
-			Text1:        routePathText(d.Path1),
-			Text2:        routePathText(d.Path2),
-		})
+		out = append(out, localizeRouteDiff(l, d, opts, sideKey{idx: d.Index1}, sideKey{idx: d.Index2}))
 	}
 	return rmTaskResult{diffs: out}
 }

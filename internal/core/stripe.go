@@ -138,23 +138,20 @@ func runStripedRouteMapTask(ctx context.Context, c1, c2 *ir.Config, t rmTask, st
 	res := make([]stripeResult, len(regions))
 
 	var wg sync.WaitGroup
-	// The merge factory, its encoding, and the localizer build on this
-	// goroutine while the stripes run: localizer construction (the DDNF
-	// dag over the pair's prefix vocabulary) is the serial fraction of a
-	// striped comparison, so overlapping it with the stripe diffs is
-	// where a multi-core machine recovers it.
+	// The merge factory and its encoding build on this goroutine while
+	// the stripes run, overlapping the serial fraction of a striped
+	// comparison with the stripe diffs. The localizer waits for the
+	// merge, which builds it only when a stripe found a difference.
 	var mainEnc *symbolic.RouteEncoding
-	var loc *headerloc.RouteLocalizer
 	var mainErr error
 	buildMain := func() {
 		defer func() {
 			if r := recover(); r != nil {
 				mainErr = taskFailure(r, c1, c2, t)
-				mainEnc, loc = nil, nil
+				mainEnc = nil
 			}
 		}()
 		e := symbolic.NewRouteEncodingIntoOrdered(newArmedFactory(ctx, opts), opts.routeOrder, c1, c2)
-		loc = headerloc.NewRouteLocalizer(e, c1, c2)
 		e.F.BeginWork()
 		mainEnc = e
 	}
@@ -239,7 +236,7 @@ func runStripedRouteMapTask(ctx context.Context, c1, c2 *ir.Config, t rmTask, st
 	if mainErr != nil {
 		return fail(mainErr)
 	}
-	out := mergeStripedRouteMapDiffs(mainEnc, loc, c1, c2, rm1, rm2, t, res, opts)
+	out := mergeStripedRouteMapDiffs(mainEnc, c1, c2, rm1, rm2, t, res, opts)
 	for j := range res {
 		account(j) // shards already transferred (or the merge failed)
 	}
@@ -282,7 +279,7 @@ type mergedRouteDiff struct {
 // per-stripe shards: transfer every shard's input set onto the main
 // factory, Or shards of the same class pair together, sort pairs into
 // the sequential emission order, and localize.
-func mergeStripedRouteMapDiffs(mainEnc *symbolic.RouteEncoding, loc *headerloc.RouteLocalizer, c1, c2 *ir.Config, rm1, rm2 *ir.RouteMap, t rmTask, res []stripeResult, opts Options) (out rmTaskResult) {
+func mergeStripedRouteMapDiffs(mainEnc *symbolic.RouteEncoding, c1, c2 *ir.Config, rm1, rm2 *ir.RouteMap, t rmTask, res []stripeResult, opts Options) (out rmTaskResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = rmTaskResult{err: taskFailure(r, c1, c2, t)}
@@ -317,20 +314,13 @@ func mergeStripedRouteMapDiffs(mainEnc *symbolic.RouteEncoding, loc *headerloc.R
 		return order[i].k2 < order[j].k2
 	})
 
+	if len(order) == 0 {
+		return rmTaskResult{}
+	}
+	loc := headerloc.NewRouteLocalizer(mainEnc, c1, c2)
 	diffs := make([]localizedRouteDiff, 0, len(order))
 	for _, m := range order {
-		localization := loc.Localize(m.d.Inputs)
-		if opts.ExhaustiveCommunities {
-			localization.CommunityTerms, localization.CommunityComplete =
-				loc.LocalizeCommunities(m.d.Inputs, maxCommunityTerms)
-		}
-		diffs = append(diffs, localizedRouteDiff{
-			Localization: localization,
-			Action1:      describeRouteAction(m.d.Path1),
-			Action2:      describeRouteAction(m.d.Path2),
-			Text1:        routePathText(m.d.Path1),
-			Text2:        routePathText(m.d.Path2),
-		})
+		diffs = append(diffs, localizeRouteDiff(loc, m.d, opts, sideKey{path: m.k1}, sideKey{path: m.k2}))
 	}
 	return rmTaskResult{diffs: diffs}
 }
@@ -345,9 +335,9 @@ type aclStripeResult struct {
 // runStripedACLPair compares one oversized ACL pair partitioned across
 // source-address regions: per-stripe diff on private factories, then a
 // deterministic line-order merge and localization on a fresh main
-// factory. Returns the pair's localized diffs and the BDD work summed
-// over every factory used.
-func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, stripes int, opts Options) (out []ACLPairDiff, work bdd.Stats, err error) {
+// factory. Returns the pair's localized diffs, each one's two line
+// positions, and the BDD work summed over every factory used.
+func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, stripes int, opts Options) (out []ACLPairDiff, keys [][2]int, work bdd.Stats, err error) {
 	sigs := symbolic.NewACLSigTable(acl1, acl2)
 	// Warm the signature memo before fan-out: LineSig caches lazily, and
 	// a fully-populated table is read-only — safe to share across stripes.
@@ -404,7 +394,7 @@ func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, str
 			for j := range res {
 				account(j)
 			}
-			return nil, work, res[s].err
+			return nil, nil, work, res[s].err
 		}
 	}
 
@@ -484,10 +474,11 @@ func runStripedACLPair(ctx context.Context, name string, acl1, acl2 *ir.ACL, str
 				Text1:        aclPathText(m.d.Path1),
 				Text2:        aclPathText(m.d.Path2),
 			})
+			keys = append(keys, [2]int{m.i1, m.i2})
 		}
 	}()
 	if err != nil {
-		return nil, work, err
+		return nil, nil, work, err
 	}
-	return out, work, nil
+	return out, keys, work, nil
 }

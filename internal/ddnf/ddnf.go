@@ -20,6 +20,7 @@ import (
 type Node struct {
 	Range    netaddr.PrefixRange
 	Children []*Node
+	id       int // position in DAG.Nodes: the Matcher's memo slot
 }
 
 // DAG is the prefix-range containment DAG.
@@ -32,34 +33,53 @@ type DAG struct {
 // of configurations: the universe is added, the set is closed under
 // intersection, duplicates (semantic) are removed, and immediate
 // containment edges are installed (properties 1–4 in the paper).
+//
+// The edges are the Hasse diagram of strict containment: a node's
+// parents are the minimal elements of its strict ancestors. A range can
+// only be contained by ranges whose prefix is its own or an ancestor of
+// it in the address trie, so each node's candidates are the labels of
+// its prefix and of that prefix's chain of ancestors (as the ddNF paper
+// inserts a label by walking down from the root), never the whole set,
+// and no (parent, child, intermediate) triple is tested. Ranges carry
+// canonical prefixes (host bits zero), as the parsers produce them.
 func Build(ranges []netaddr.PrefixRange) *DAG {
-	labels := closeUnderIntersection(ranges)
-	nodes := make([]*Node, len(labels))
-	for i, r := range labels {
-		nodes[i] = &Node{Range: r}
+	groups := closeUnderIntersection(ranges)
+	var nodes []*Node
+	first := make([]int, len(groups)) // each group's first node id
+	for g, gr := range groups {
+		first[g] = len(nodes)
+		for _, r := range gr.labels {
+			nodes = append(nodes, &Node{Range: r, id: len(nodes)})
+		}
 	}
-	// Immediate containment: n is a child of m iff n ⊂ m strictly and no
-	// intermediate node sits between them.
-	strictlyContains := func(a, b netaddr.PrefixRange) bool {
-		return a.ContainsRange(b) && !b.ContainsRange(a)
-	}
-	for _, m := range nodes {
-		for _, n := range nodes {
-			if m == n || !strictlyContains(m.Range, n.Range) {
-				continue
-			}
-			immediate := true
-			for _, k := range nodes {
-				if k == m || k == n {
-					continue
-				}
-				if strictlyContains(m.Range, k.Range) && strictlyContains(k.Range, n.Range) {
-					immediate = false
-					break
+	var anc []int
+	for g, gr := range groups {
+		for k, r := range gr.labels {
+			anc = anc[:0]
+			for k2, r2 := range gr.labels {
+				if k2 != k && r2.ContainsRange(r) {
+					anc = append(anc, first[g]+k2) // same prefix: a wider length interval
 				}
 			}
-			if immediate {
-				m.Children = append(m.Children, n)
+			for a := gr.parent; a >= 0; a = groups[a].parent {
+				for k2, r2 := range groups[a].labels {
+					if r2.ContainsRange(r) {
+						anc = append(anc, first[a]+k2)
+					}
+				}
+			}
+			for _, j := range anc {
+				immediate := true
+				for _, k2 := range anc {
+					if k2 != j && nodes[j].Range.ContainsRange(nodes[k2].Range) {
+						immediate = false
+						break
+					}
+				}
+				if immediate {
+					// Ids ascend, so children stay in label (Compare) order.
+					nodes[j].Children = append(nodes[j].Children, nodes[first[g]+k])
+				}
 			}
 		}
 	}
@@ -70,47 +90,86 @@ func Build(ranges []netaddr.PrefixRange) *DAG {
 			break
 		}
 	}
-	for _, n := range nodes {
-		sort.Slice(n.Children, func(i, j int) bool {
-			return n.Children[i].Range.Compare(n.Children[j].Range) < 0
-		})
-	}
 	return &DAG{Root: root, Nodes: nodes}
 }
 
+// group is the labels sharing one prefix in the closed label set.
+type group struct {
+	prefix netaddr.Prefix
+	labels []netaddr.PrefixRange // sorted by (Lo, Hi)
+	parent int                   // the group of the nearest ancestor prefix; -1 for none
+}
+
 // closeUnderIntersection adds the universe, closes the set under pairwise
-// intersection, and removes empty and duplicate ranges. The result is
-// sorted for determinism.
-func closeUnderIntersection(ranges []netaddr.PrefixRange) []netaddr.PrefixRange {
-	seen := map[netaddr.PrefixRange]bool{}
-	var out []netaddr.PrefixRange
-	add := func(r netaddr.PrefixRange) bool {
-		if r.IsEmpty() || seen[r] {
-			return false
-		}
-		seen[r] = true
-		out = append(out, r)
-		return true
-	}
-	add(netaddr.Universe)
+// intersection, and removes empty and duplicate ranges. It returns the
+// labels grouped by prefix, groups in Compare order, so the labels read
+// in group order are sorted.
+//
+// Two ranges intersect only when one's prefix is an ancestor of (or
+// equal to) the other's, and the intersection has the longer prefix. So
+// a prefix's labels are its own input ranges, their intersections with
+// the labels of its ancestor prefixes, and the intersections of those
+// among themselves. Prefixes sorted by (address, length) list every
+// ancestor before its descendants, and the ancestors present form a stack
+// along the sweep: each prefix is closed once, against its own chain.
+func closeUnderIntersection(ranges []netaddr.PrefixRange) []group {
+	in := make([]netaddr.PrefixRange, 0, len(ranges)+1)
+	in = append(in, netaddr.Universe)
 	for _, r := range ranges {
-		add(r)
+		if !r.IsEmpty() {
+			in = append(in, r)
+		}
 	}
-	for changed := true; changed; {
-		changed = false
-		n := len(out)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if inter, ok := out[i].Intersect(out[j]); ok {
-					if add(inter) {
-						changed = true
+	sort.Slice(in, func(i, j int) bool { return in[i].Compare(in[j]) < 0 })
+	var groups []group
+	var stack []int // the groups of the current prefix's ancestors
+	for lo := 0; lo < len(in); {
+		p := in[lo].Prefix
+		hi := lo + 1
+		for hi < len(in) && in[hi].Prefix == p {
+			hi++
+		}
+		for len(stack) > 0 && !groups[stack[len(stack)-1]].prefix.ContainsPrefix(p) {
+			stack = stack[:len(stack)-1]
+		}
+		parent := -1
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1]
+		}
+		var labels []netaddr.PrefixRange
+		add := func(r netaddr.PrefixRange) {
+			for _, x := range labels {
+				if x == r {
+					return
+				}
+			}
+			labels = append(labels, r)
+		}
+		for _, r := range in[lo:hi] {
+			add(r)
+		}
+		for _, a := range stack {
+			for _, ra := range groups[a].labels {
+				for _, r := range in[lo:hi] {
+					if x, ok := r.Intersect(ra); ok {
+						add(x)
 					}
 				}
 			}
 		}
+		for i := 1; i < len(labels); i++ { // worklist: new labels join the end
+			for j := 0; j < i; j++ {
+				if x, ok := labels[i].Intersect(labels[j]); ok {
+					add(x)
+				}
+			}
+		}
+		sort.Slice(labels, func(i, j int) bool { return labels[i].Compare(labels[j]) < 0 })
+		groups = append(groups, group{prefix: p, labels: labels, parent: parent})
+		stack = append(stack, len(groups)-1)
+		lo = hi
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return groups
 }
 
 // Term is one element of GetMatch's result: the range Include minus the
@@ -139,17 +198,60 @@ type SetOps struct {
 	Universe bdd.Node
 }
 
-func (o SetOps) contains(sub, super bdd.Node) bool {
-	return o.F.Implies(sub, super)
+// Matcher runs GetMatch over one DAG and one SetOps for any number of
+// input sets. The first time the walk needs a node it computes the
+// node's range set (RangeBDD ∧ Universe) and its remainder (the range
+// minus its children's ranges), and keeps both for later sets and for
+// the exactness check. A header localizer asks for one GetMatch per
+// difference, so the node sets are built once per localizer rather than
+// once per difference. BDDs are canonical, so the terms are the same as
+// without the memo.
+//
+// A Matcher holds nodes of o.F: it is single-goroutine state and lives no
+// longer than the factory's nodes do.
+type Matcher struct {
+	d        *DAG
+	o        SetOps
+	rng, rem []bdd.Node
+	have     []uint8 // per node: haveRange | haveRem
 }
 
-// remainder computes node.Range minus its children's ranges, symbolically.
-func (o SetOps) remainder(n *Node) bdd.Node {
-	r := o.RangeBDD(n.Range)
-	for _, c := range n.Children {
-		r = o.F.Diff(r, o.RangeBDD(c.Range))
+const (
+	haveRange = 1 << iota
+	haveRem
+)
+
+// NewMatcher returns an empty matcher for d under o.
+func (d *DAG) NewMatcher(o SetOps) *Matcher {
+	n := len(d.Nodes)
+	return &Matcher{d: d, o: o, rng: make([]bdd.Node, n), rem: make([]bdd.Node, n), have: make([]uint8, n)}
+}
+
+// nodeRange is n's range restricted to the universe.
+func (m *Matcher) nodeRange(n *Node) bdd.Node {
+	if m.have[n.id]&haveRange == 0 {
+		m.rng[n.id] = m.o.F.And(m.o.RangeBDD(n.Range), m.o.Universe)
+		m.have[n.id] |= haveRange
 	}
-	return r
+	return m.rng[n.id]
+}
+
+// remainder is n's range minus its children's ranges, within the
+// universe.
+func (m *Matcher) remainder(n *Node) bdd.Node {
+	if m.have[n.id]&haveRem == 0 {
+		r := m.nodeRange(n)
+		for _, c := range n.Children {
+			r = m.o.F.Diff(r, m.nodeRange(c))
+		}
+		m.rem[n.id] = r
+		m.have[n.id] |= haveRem
+	}
+	return m.rem[n.id]
+}
+
+func (m *Matcher) contains(sub, super bdd.Node) bool {
+	return m.o.F.Implies(sub, super)
 }
 
 // GetMatch expresses S (a BDD subset of the universe) in terms of the
@@ -157,41 +259,45 @@ func (o SetOps) remainder(n *Node) bdd.Node {
 // boolean result reports whether the representation is exact; it can be
 // false when S was built from constructs outside the range vocabulary
 // (e.g. non-contiguous wildcard masks), in which case the terms
-// under-approximate S.
+// under-approximate S. It is a one-shot Matcher; callers that match many
+// sets over one DAG keep a Matcher instead.
 func (d *DAG) GetMatch(o SetOps, s bdd.Node) ([]Term, bool) {
-	if d.Root == nil {
+	return d.NewMatcher(o).GetMatch(s)
+}
+
+// GetMatch is DAG.GetMatch over the matcher's DAG and SetOps.
+func (m *Matcher) GetMatch(s bdd.Node) ([]Term, bool) {
+	if m.d.Root == nil {
 		return nil, s == bdd.False
 	}
-	s = o.F.And(s, o.Universe)
-	terms := d.getMatch(o, s, d.Root)
+	s = m.o.F.And(s, m.o.Universe)
+	terms := m.getMatch(s, m.d.Root)
 	// Exactness check: the union of the terms must equal S.
 	union := bdd.False
 	for _, t := range terms {
-		union = o.F.Or(union, d.termBDD(o, t))
+		union = m.o.F.Or(union, m.termBDD(t))
 	}
 	return terms, union == s
 }
 
-func (d *DAG) getMatch(o SetOps, s bdd.Node, node *Node) []Term {
-	r := o.F.And(o.RangeBDD(node.Range), o.Universe)
+func (m *Matcher) getMatch(s bdd.Node, node *Node) []Term {
 	if len(node.Children) == 0 {
-		if r != bdd.False && o.contains(r, s) {
+		if r := m.nodeRange(node); r != bdd.False && m.contains(r, s) {
 			return []Term{{Include: node.Range}}
 		}
 		return nil
 	}
-	rem := o.F.And(o.remainder(node), o.Universe)
-	if rem != bdd.False && o.contains(rem, s) {
-		notS := o.F.And(o.F.Not(s), o.Universe)
+	if rem := m.remainder(node); rem != bdd.False && m.contains(rem, s) {
+		notS := m.o.F.And(m.o.F.Not(s), m.o.Universe)
 		var nonmatches []Term
 		for _, c := range node.Children {
-			nonmatches = append(nonmatches, d.getMatch(o, notS, c)...)
+			nonmatches = append(nonmatches, m.getMatch(notS, c)...)
 		}
 		return []Term{{Include: node.Range, Exclude: dedupeTerms(nonmatches)}}
 	}
 	var out []Term
 	for _, c := range node.Children {
-		out = append(out, d.getMatch(o, s, c)...)
+		out = append(out, m.getMatch(s, c)...)
 	}
 	return dedupeTerms(out)
 }
@@ -227,11 +333,14 @@ func termsEqual(a, b Term) bool {
 	return true
 }
 
-// termBDD evaluates a (possibly nested) term symbolically.
-func (d *DAG) termBDD(o SetOps, t Term) bdd.Node {
-	n := o.F.And(o.RangeBDD(t.Include), o.Universe)
+// termBDD evaluates a (possibly nested) term symbolically. Every range
+// in a term is a DAG label, found by binary search of the sorted Nodes.
+func (m *Matcher) termBDD(t Term) bdd.Node {
+	nodes := m.d.Nodes
+	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].Range.Compare(t.Include) >= 0 })
+	n := m.nodeRange(nodes[i])
 	for _, x := range t.Exclude {
-		n = o.F.Diff(n, d.termBDD(o, x))
+		n = m.o.F.Diff(n, m.termBDD(x))
 	}
 	return n
 }

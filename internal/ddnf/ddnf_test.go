@@ -1,6 +1,9 @@
 package ddnf
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -74,7 +77,10 @@ func TestCloseUnderIntersection(t *testing.T) {
 	// Two overlapping ranges force their intersection into the label set.
 	r1 := netaddr.MustParsePrefixRange("10.0.0.0/8 : 8-24")
 	r2 := netaddr.MustParsePrefixRange("10.1.0.0/16 : 16-32")
-	labels := closeUnderIntersection([]netaddr.PrefixRange{r1, r2})
+	var labels []netaddr.PrefixRange
+	for _, g := range closeUnderIntersection([]netaddr.PrefixRange{r1, r2}) {
+		labels = append(labels, g.labels...)
+	}
 	want := netaddr.MustParsePrefixRange("10.1.0.0/16 : 16-24")
 	var found bool
 	for _, l := range labels {
@@ -227,8 +233,9 @@ func TestGetMatchInexactFallback(t *testing.T) {
 	}
 	// Under-approximation: whatever is returned must be inside S.
 	union := bdd.False
+	m := d.NewMatcher(o)
 	for _, t2 := range terms {
-		union = o.F.Or(union, d.termBDD(o, t2))
+		union = o.F.Or(union, m.termBDD(t2))
 	}
 	if o.F.Diff(union, S) != bdd.False {
 		t.Error("terms must under-approximate S")
@@ -264,6 +271,149 @@ func TestDot(t *testing.T) {
 	for _, want := range []string{"digraph", "10.0.0.0/8 : 8-32", "->"} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("dot output missing %q:\n%s", want, dot)
+		}
+	}
+}
+
+// buildReference is the original cubic construction, kept as the reference
+// Build must agree with: closure by repeated all-pairs rounds, and an
+// edge m → n whenever no third label sits strictly between them.
+func buildReference(ranges []netaddr.PrefixRange) *DAG {
+	seen := map[netaddr.PrefixRange]bool{}
+	var labels []netaddr.PrefixRange
+	add := func(r netaddr.PrefixRange) bool {
+		if r.IsEmpty() || seen[r] {
+			return false
+		}
+		seen[r] = true
+		labels = append(labels, r)
+		return true
+	}
+	add(netaddr.Universe)
+	for _, r := range ranges {
+		add(r)
+	}
+	for changed := true; changed; {
+		changed = false
+		n := len(labels)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if inter, ok := labels[i].Intersect(labels[j]); ok && add(inter) {
+					changed = true
+				}
+			}
+		}
+	}
+	sort.Slice(labels, func(i, j int) bool { return labels[i].Compare(labels[j]) < 0 })
+	nodes := make([]*Node, len(labels))
+	for i, r := range labels {
+		nodes[i] = &Node{Range: r, id: i}
+	}
+	strictlyContains := func(a, b netaddr.PrefixRange) bool {
+		return a.ContainsRange(b) && !b.ContainsRange(a)
+	}
+	for _, m := range nodes {
+		for _, n := range nodes {
+			if m == n || !strictlyContains(m.Range, n.Range) {
+				continue
+			}
+			immediate := true
+			for _, k := range nodes {
+				if k != m && k != n && strictlyContains(m.Range, k.Range) && strictlyContains(k.Range, n.Range) {
+					immediate = false
+					break
+				}
+			}
+			if immediate {
+				m.Children = append(m.Children, n)
+			}
+		}
+	}
+	var root *Node
+	for _, n := range nodes {
+		if n.Range.Equal(netaddr.Universe) {
+			root = n
+			break
+		}
+	}
+	for _, n := range nodes {
+		sort.Slice(n.Children, func(i, j int) bool {
+			return n.Children[i].Range.Compare(n.Children[j].Range) < 0
+		})
+	}
+	return &DAG{Root: root, Nodes: nodes}
+}
+
+// dagDiff describes the first difference between two DAGs (labels,
+// sorted children, root), or returns "" when they are identical.
+func dagDiff(got, want *DAG) string {
+	if len(got.Nodes) != len(want.Nodes) {
+		return fmt.Sprintf("%d nodes, want %d", len(got.Nodes), len(want.Nodes))
+	}
+	for i, g := range got.Nodes {
+		w := want.Nodes[i]
+		if g.Range != w.Range {
+			return fmt.Sprintf("node %d is %v, want %v", i, g.Range, w.Range)
+		}
+		if len(g.Children) != len(w.Children) {
+			return fmt.Sprintf("node %v has %d children, want %d", g.Range, len(g.Children), len(w.Children))
+		}
+		for k := range g.Children {
+			if g.Children[k].Range != w.Children[k].Range {
+				return fmt.Sprintf("node %v child %d is %v, want %v", g.Range, k, g.Children[k].Range, w.Children[k].Range)
+			}
+		}
+	}
+	if (got.Root == nil) != (want.Root == nil) || got.Root != nil && got.Root.Range != want.Root.Range {
+		return "roots differ"
+	}
+	return ""
+}
+
+// TestBuildMatchesReference: over random range sets, some overlapping
+// and some nested, Build's DAG is the reference construction's.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		var ranges []netaddr.PrefixRange
+		for k := rng.Intn(24); k > 0; k-- {
+			// Addresses from a small pool so that ranges nest and overlap.
+			l := uint8(rng.Intn(25))
+			addr := netaddr.Addr(uint32(10)<<24 | uint32(rng.Intn(4))<<22 | uint32(rng.Intn(4))<<14)
+			lo := uint8(rng.Intn(int(l) + 4)) // at times below the prefix length
+			hi := lo + uint8(rng.Intn(int(33-lo)))
+			if rng.Intn(8) == 0 {
+				lo, hi = hi, lo // sometimes empty
+			}
+			ranges = append(ranges, netaddr.PrefixRange{Prefix: netaddr.NewPrefix(addr, l), Lo: lo, Hi: hi})
+		}
+		if d := dagDiff(Build(ranges), buildReference(ranges)); d != "" {
+			t.Fatalf("trial %d, ranges %v: %s", trial, ranges, d)
+		}
+	}
+}
+
+// TestMatcherMatchesOneShot: one Matcher reused across many sets returns
+// what a fresh GetMatch returns for each.
+func TestMatcherMatchesOneShot(t *testing.T) {
+	rs := figure3Ranges()
+	d := Build([]netaddr.PrefixRange{rs["B"], rs["C"], rs["D"], rs["E"], rs["F"], rs["G"]})
+	enc := symbolic.NewRouteEncoding()
+	o := routeOps(enc)
+	m := d.NewMatcher(o)
+	sets := []bdd.Node{bdd.False, o.Universe}
+	for _, a := range []string{"B", "C", "D", "E", "F", "G"} {
+		ra := o.F.And(enc.PrefixRangeBDD(rs[a]), o.Universe)
+		sets = append(sets, ra)
+		for _, b := range []string{"D", "F", "G"} {
+			sets = append(sets, o.F.Diff(ra, enc.PrefixRangeBDD(rs[b])))
+		}
+	}
+	for i, s := range sets {
+		got, gotExact := m.GetMatch(s)
+		want, wantExact := d.GetMatch(o, s)
+		if gotExact != wantExact || fmt.Sprint(Simplify(got)) != fmt.Sprint(Simplify(want)) {
+			t.Fatalf("set %d: matcher %v (exact %v), one-shot %v (exact %v)", i, got, gotExact, want, wantExact)
 		}
 	}
 }

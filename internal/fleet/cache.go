@@ -14,12 +14,16 @@
 // correct).
 //
 // Versioning: the store directory is namespaced by storeVersion, the
-// device hash mixes in its own hashVersion, and report payloads carry
-// payloadVersion. Any format change lands in a fresh namespace or fails
-// the version check on read — stale entries self-invalidate.
+// device hash mixes in its own hashVersion, hash entries carry
+// hashEntryVersion and report payloads payloadVersion. Any format change
+// lands in a fresh namespace or fails the version check on read — stale
+// entries self-invalidate. A read also refuses an entry holding the
+// \ufffd escape: the writers never produce one, because JSON would have
+// replaced text that is not valid UTF-8.
 package fleet
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -168,8 +172,9 @@ type HashEntry struct {
 	Fallback   bool
 }
 
-// hashEntryVersion guards HashEntry's JSON shape.
-const hashEntryVersion = 1
+// hashEntryVersion guards HashEntry's JSON shape. Version 2 marks entries
+// written since PutHash skips hostnames that are not valid UTF-8.
+const hashEntryVersion = 2
 
 // ContentSum digests raw configuration bytes for hash-entry keys.
 func ContentSum(data []byte) string {
@@ -201,7 +206,9 @@ func (s *Store) GetHash(contentSum string) (HashEntry, bool) {
 		s.observe("miss", "hash")
 		return e, false
 	}
-	if err := json.Unmarshal(body, &e); err != nil ||
+	// An entry holding the \ufffd escape carries a hostname JSON has
+	// already changed: PutHash never writes one.
+	if err := json.Unmarshal(body, &e); err != nil || bytes.Contains(body, invalidUTF8) ||
 		e.Version != hashEntryVersion || e.ContentSum != contentSum {
 		s.discard(path, "hash")
 		s.hashMisses.Add(1)

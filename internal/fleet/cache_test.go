@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -357,5 +358,88 @@ func TestStoreMemo(t *testing.T) {
 	defer mu.Unlock()
 	if hits["hit/report"] < 1 || hits["hit/hash"] < 1 {
 		t.Fatalf("observer did not see memo hits: %v", hits)
+	}
+}
+
+// TestPreGuardEntriesRecomputed plants the entries a writer from before
+// the `\ufffd` guard left behind — JSON that already replaced a
+// non-UTF-8 route-map name and hostname with U+FFFD — both at the old
+// entry versions and at the current ones. Served, the report would
+// render differently from a cold diff; the store must instead treat each
+// entry as corrupt, delete it and miss, so the warm run recomputes and
+// renders exactly what the cold run did.
+func TestPreGuardEntriesRecomputed(t *testing.T) {
+	cfg := func(file, host, pref string) *ir.Config {
+		return parseCisco(t, file, "hostname "+host+"\n"+
+			"ip prefix-list NETS permit 10.9.0.0/16 le 24\n"+
+			"route-map POL\xff permit 10\n match ip address NETS\n set local-preference "+pref+"\n"+
+			"route-map POL\xff deny 20\n"+
+			"router bgp 65001\n neighbor 10.0.12.2 remote-as 65002\n neighbor 10.0.12.2 route-map POL\xff in\n")
+	}
+	c1, c2 := cfg("r0.cfg", "r0\xe9", "100"), cfg("r2.cfg", "r2", "200")
+	cold, err := core.Diff(c1, c2, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldText, coldJSON := render(t, cold)
+	h := NewHasher()
+	h1, _ := h.DeviceHash(c1)
+	h2, _ := h.DeviceHash(c2)
+	fp := OptionsFingerprint(core.Options{})
+	sum := ContentSum([]byte("r0 raw bytes"))
+
+	for _, version := range []int{1, payloadVersion} {
+		dir := t.TempDir()
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := payloadOf(cold)
+		p.Version = version
+		payload, err := json.Marshal(p) // no guard: the bad bytes become U+FFFD
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(reportEntry{Hash1: h1, Hash2: h2, OptionsFP: fp, Report: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportPath := s.path("reports", "report", h1, h2, fp)
+		s.writeEntry(reportPath, body)
+		var stale reportPayload
+		if err := json.Unmarshal(payload, &stale); err != nil {
+			t.Fatal(err)
+		}
+		if text, _ := render(t, stale.report()); text == coldText {
+			t.Fatal("the planted entry renders like the cold report; the test is vacuous")
+		}
+		hashBody, err := json.Marshal(HashEntry{Version: version, ContentSum: sum, Hash: h1, Hostname: c1.Hostname})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashPath := s.path("hashes", "hash", sum)
+		s.writeEntry(hashPath, hashBody)
+
+		// The warm run's lookups, as DiffBatch and DiffFleet make them.
+		warm := cold
+		if rep, ok := s.GetReport(h1, h2, fp); ok {
+			warm = RespanReport(rep, c1, c2)
+		} else if warm, err = core.Diff(c1, c2, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if text, js := render(t, warm); text != coldText || js != coldJSON {
+			t.Errorf("version %d: warm report differs from cold:\n%s\nvs\n%s", version, text, coldText)
+		}
+		if _, ok := s.GetHash(sum); ok {
+			t.Errorf("version %d: served a hash entry whose hostname JSON changed", version)
+		}
+		if st := s.Stats(); st.Corrupt != 2 || st.ReportHits != 0 || st.HashHits != 0 {
+			t.Errorf("version %d: stats %+v, want both entries discarded as corrupt", version, st)
+		}
+		for _, path := range []string{reportPath, hashPath} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("version %d: pre-guard entry %s not deleted (%v)", version, filepath.Base(path), err)
+			}
+		}
 	}
 }

@@ -24,8 +24,10 @@ import (
 )
 
 // payloadVersion guards the JSON shape; bump on any field change so old
-// cache entries self-invalidate.
-const payloadVersion = 1
+// cache entries self-invalidate. Version 2 marks entries written since
+// EncodeReport refuses text that is not valid UTF-8; version 1 entries
+// may hold such text already replaced with U+FFFD.
+const payloadVersion = 2
 
 type reportPayload struct {
 	Version      int
@@ -98,8 +100,12 @@ func EncodeReport(rep *core.Report) ([]byte, error) {
 
 // DecodeReport reconstructs a report from EncodeReport output. The
 // configs are stubs carrying only Hostname and File. A version mismatch
-// is an error (the caller treats it as a cache miss).
+// is an error (the caller treats it as a cache miss), and so is a payload
+// holding the \ufffd escape, which EncodeReport never writes.
 func DecodeReport(data []byte) (*core.Report, error) {
+	if bytes.Contains(data, invalidUTF8) {
+		return nil, errUnfaithful
+	}
 	var p reportPayload
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, err

@@ -49,11 +49,12 @@ type RouteLocalization struct {
 }
 
 // RouteLocalizer localizes route-map differences over a fixed pair of
-// configurations.
+// configurations. Its ddNF matcher keeps each DAG node's prefix set once
+// computed, so a localizer serves all the differences of a pair; like
+// the encoding it wraps, it is single-goroutine state.
 type RouteLocalizer struct {
-	enc *symbolic.RouteEncoding
-	dag *ddnf.DAG
-	ops ddnf.SetOps
+	enc   *symbolic.RouteEncoding
+	match *ddnf.Matcher
 
 	nonPrefix []int
 }
@@ -69,17 +70,15 @@ func NewRouteLocalizer(enc *symbolic.RouteEncoding, cfgs ...*ir.Config) *RouteLo
 		}
 		ranges = append(ranges, ConfigPrefixRanges(cfg)...)
 	}
-	l := &RouteLocalizer{
-		enc:       enc,
-		dag:       ddnf.Build(ranges),
+	return &RouteLocalizer{
+		enc: enc,
+		match: ddnf.Build(ranges).NewMatcher(ddnf.SetOps{
+			F:        enc.F,
+			RangeBDD: enc.PrefixRangeBDD,
+			Universe: enc.PrefixUniverse,
+		}),
 		nonPrefix: enc.NonPrefixVars(),
 	}
-	l.ops = ddnf.SetOps{
-		F:        enc.F,
-		RangeBDD: enc.PrefixRangeBDD,
-		Universe: enc.PrefixUniverse,
-	}
-	return l
 }
 
 // ConfigPrefixRanges lists every prefix range mentioned by a
@@ -164,7 +163,7 @@ func (l *RouteLocalizer) LocalizeCommunities(inputs bdd.Node, limit int) ([]Comm
 // Localize renders the input set of one difference.
 func (l *RouteLocalizer) Localize(inputs bdd.Node) RouteLocalization {
 	prefixSet := l.enc.F.Exists(inputs, l.nonPrefix)
-	terms, exact := l.dag.GetMatch(l.ops, prefixSet)
+	terms, exact := l.match.GetMatch(prefixSet)
 	loc := RouteLocalization{
 		Terms: ddnf.Simplify(terms),
 		Exact: exact,
@@ -196,13 +195,13 @@ type ACLLocalization struct {
 	ExamplePacket ir.Packet
 }
 
-// ACLLocalizer localizes ACL differences over a fixed pair of ACLs.
+// ACLLocalizer localizes ACL differences over a fixed pair of ACLs, with
+// one ddNF matcher per address field (single-goroutine state, as for
+// RouteLocalizer).
 type ACLLocalizer struct {
-	enc              *symbolic.PacketEncoding
-	srcDag, dstDag   *ddnf.DAG
-	srcOps, dstOps   ddnf.SetOps
-	nonSrc, nonDst   []int
-	srcRoot, dstRoot bdd.Node
+	enc            *symbolic.PacketEncoding
+	src, dst       *ddnf.Matcher
+	nonSrc, nonDst []int
 }
 
 // aclAddressRanges extracts the address vocabulary of the ACLs: each
@@ -231,36 +230,33 @@ func aclAddressRanges(field func(*ir.ACLLine) []netaddr.Wildcard, acls ...*ir.AC
 func NewACLLocalizer(enc *symbolic.PacketEncoding, acls ...*ir.ACL) *ACLLocalizer {
 	srcRanges := aclAddressRanges(func(l *ir.ACLLine) []netaddr.Wildcard { return l.Src }, acls...)
 	dstRanges := aclAddressRanges(func(l *ir.ACLLine) []netaddr.Wildcard { return l.Dst }, acls...)
-	l := &ACLLocalizer{
-		enc:    enc,
-		srcDag: ddnf.Build(srcRanges),
-		dstDag: ddnf.Build(dstRanges),
+	return &ACLLocalizer{
+		enc: enc,
+		src: ddnf.Build(srcRanges).NewMatcher(ddnf.SetOps{
+			F: enc.F,
+			RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
+				return enc.SrcPrefixBDD(r.Prefix)
+			},
+			Universe: bdd.True,
+		}),
+		dst: ddnf.Build(dstRanges).NewMatcher(ddnf.SetOps{
+			F: enc.F,
+			RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
+				return enc.DstPrefixBDD(r.Prefix)
+			},
+			Universe: bdd.True,
+		}),
 		nonSrc: enc.NonAddrVars("src"),
 		nonDst: enc.NonAddrVars("dst"),
 	}
-	l.srcOps = ddnf.SetOps{
-		F: enc.F,
-		RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
-			return enc.SrcPrefixBDD(r.Prefix)
-		},
-		Universe: bdd.True,
-	}
-	l.dstOps = ddnf.SetOps{
-		F: enc.F,
-		RangeBDD: func(r netaddr.PrefixRange) bdd.Node {
-			return enc.DstPrefixBDD(r.Prefix)
-		},
-		Universe: bdd.True,
-	}
-	return l
 }
 
 // Localize renders the input set of one ACL difference.
 func (l *ACLLocalizer) Localize(inputs bdd.Node) ACLLocalization {
 	srcSet := l.enc.F.Exists(inputs, l.nonSrc)
 	dstSet := l.enc.F.Exists(inputs, l.nonDst)
-	srcTerms, srcExact := l.srcDag.GetMatch(l.srcOps, srcSet)
-	dstTerms, dstExact := l.dstDag.GetMatch(l.dstOps, dstSet)
+	srcTerms, srcExact := l.src.GetMatch(srcSet)
+	dstTerms, dstExact := l.dst.GetMatch(dstSet)
 	loc := ACLLocalization{
 		SrcTerms: ddnf.Simplify(srcTerms),
 		DstTerms: ddnf.Simplify(dstTerms),

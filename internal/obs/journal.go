@@ -63,7 +63,8 @@ type Event struct {
 	// (report / hash), component events the check kind.
 	Kind string `json:"kind,omitempty"`
 	// Op qualifies cache events (hit / miss / evict / corrupt) and marks
-	// cache-served pair events ("cached").
+	// cache-served pair events ("cached") and pair events whose report
+	// came from the joint pass of the mirrored pair ("mirror").
 	Op string `json:"op,omitempty"`
 	// Dur is the event's duration in nanoseconds.
 	Dur int64 `json:"dur_ns,omitempty"`
@@ -94,7 +95,7 @@ const (
 	EvHash       = "hash"          // Device, Kind dag|fallback|cached|given, Dur
 	EvCluster    = "cluster"       // N classes over Total devices
 	EvClass      = "class"         // Class (1-based), Device representative, N members
-	EvPair       = "pair"          // Pair, Dur, Diffs, Nodes, Op "cached" when served from cache, Err kind
+	EvPair       = "pair"          // Pair, Dur, Diffs, Nodes, Op "cached" when served from cache or "mirror" from a joint pass, Err kind
 	EvComponent  = "component"     // Pair, Component, Kind, Dur, Nodes
 	EvCache      = "cache"         // Op hit|miss|evict|corrupt, Kind report|hash
 	EvExpand     = "expand"        // N member pairs expanded, Dur

@@ -20,6 +20,9 @@ type RouteMapDiff struct {
 	// Path1 and Path2 are the equivalence classes involved; their Accept,
 	// Transform, and Terminal fields carry the actions and text.
 	Path1, Path2 symbolic.RoutePath
+	// Index1 and Index2 are the classes' positions in the path lists the
+	// product walked. Differences come out in (Index1, Index2) order.
+	Index1, Index2 int
 }
 
 // pathActionsDiffer reports whether two route-map classes act differently:
@@ -89,7 +92,7 @@ func diffRouteMapPaths(enc *symbolic.RouteEncoding, paths1, paths2 []symbolic.Ro
 			if inter == bdd.False {
 				continue
 			}
-			diffs = append(diffs, RouteMapDiff{Inputs: inter, Path1: *p1, Path2: *p2})
+			diffs = append(diffs, RouteMapDiff{Inputs: inter, Path1: *p1, Path2: *p2, Index1: i, Index2: j})
 			if limit > 0 && len(diffs) >= limit {
 				return diffs
 			}
@@ -122,6 +125,9 @@ func UnionRouteMapInputs(enc *symbolic.RouteEncoding, diffs []RouteMapDiff) bdd.
 type ACLDiff struct {
 	Inputs       bdd.Node
 	Path1, Path2 symbolic.ACLPath
+	// Index1 and Index2 are the classes' positions in the two ACLs' path
+	// enumerations. Differences come out in (Index1, Index2) order.
+	Index1, Index2 int
 }
 
 // DiffACLs reports every behavioral difference between two ACLs. Because
@@ -145,17 +151,19 @@ func DiffACLs(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL) []ACLDiff {
 	// Restrict the second component's classes to the differing space once.
 	var hot2 []symbolic.ACLPath
 	var sig2 []symbolic.Sig
-	for _, p2 := range paths2 {
+	var idx2 []int
+	for j, p2 := range paths2 {
 		g := enc.F.And(p2.Guard, diffSet)
 		if g == bdd.False {
 			continue
 		}
 		hot2 = append(hot2, symbolic.ACLPath{Guard: g, Accept: p2.Accept, Line: p2.Line})
 		sig2 = append(sig2, sigs.LineSig(p2.Line))
+		idx2 = append(idx2, j)
 	}
 
 	var diffs []ACLDiff
-	for _, p1 := range paths1 {
+	for i1, p1 := range paths1 {
 		s1 := sigs.LineSig(p1.Line)
 		d1 := enc.F.And(p1.Guard, diffSet)
 		if d1 == bdd.False {
@@ -173,7 +181,7 @@ func DiffACLs(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL) []ACLDiff {
 			// Within diffSet, intersecting classes necessarily act
 			// differently; record with the original (unrestricted)
 			// class actions and lines.
-			diffs = append(diffs, ACLDiff{Inputs: inter, Path1: p1, Path2: p2})
+			diffs = append(diffs, ACLDiff{Inputs: inter, Path1: p1, Path2: p2, Index1: i1, Index2: idx2[i]})
 			d1 = enc.F.Diff(d1, inter)
 			if d1 == bdd.False {
 				break
@@ -204,17 +212,19 @@ func DiffACLsRegion(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL, region bdd
 
 	var hot2 []symbolic.ACLPath
 	var sig2 []symbolic.Sig
-	for _, p2 := range paths2 {
+	var idx2 []int
+	for j, p2 := range paths2 {
 		g := enc.F.And(p2.Guard, diffSet)
 		if g == bdd.False {
 			continue
 		}
 		hot2 = append(hot2, symbolic.ACLPath{Guard: g, Accept: p2.Accept, Line: p2.Line})
 		sig2 = append(sig2, sigs.LineSig(p2.Line))
+		idx2 = append(idx2, j)
 	}
 
 	var diffs []ACLDiff
-	for _, p1 := range paths1 {
+	for i1, p1 := range paths1 {
 		s1 := sigs.LineSig(p1.Line)
 		d1 := enc.F.And(p1.Guard, diffSet)
 		if d1 == bdd.False {
@@ -229,7 +239,7 @@ func DiffACLsRegion(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL, region bdd
 			if inter == bdd.False {
 				continue
 			}
-			diffs = append(diffs, ACLDiff{Inputs: inter, Path1: p1, Path2: p2})
+			diffs = append(diffs, ACLDiff{Inputs: inter, Path1: p1, Path2: p2, Index1: i1, Index2: idx2[i]})
 			d1 = enc.F.Diff(d1, inter)
 			if d1 == bdd.False {
 				break
@@ -245,8 +255,8 @@ func DiffACLsNaive(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL) []ACLDiff {
 	paths1 := enc.EnumerateACLPaths(acl1)
 	paths2 := enc.EnumerateACLPaths(acl2)
 	var diffs []ACLDiff
-	for _, p1 := range paths1 {
-		for _, p2 := range paths2 {
+	for i1, p1 := range paths1 {
+		for i2, p2 := range paths2 {
 			if p1.Accept == p2.Accept {
 				continue
 			}
@@ -254,7 +264,7 @@ func DiffACLsNaive(enc *symbolic.PacketEncoding, acl1, acl2 *ir.ACL) []ACLDiff {
 			if inter == bdd.False {
 				continue
 			}
-			diffs = append(diffs, ACLDiff{Inputs: inter, Path1: p1, Path2: p2})
+			diffs = append(diffs, ACLDiff{Inputs: inter, Path1: p1, Path2: p2, Index1: i1, Index2: i2})
 		}
 	}
 	return diffs

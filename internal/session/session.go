@@ -154,6 +154,7 @@ type AuditStats struct {
 	Classes     int   `json:"classes"`
 	RepPairs    int   `json:"rep_pairs"`
 	RepComputed int   `json:"rep_computed"`
+	RepMirrored int   `json:"rep_mirrored"` // of RepComputed, from a mirror's joint pass
 	DurNS       int64 `json:"dur_ns"`
 }
 
@@ -327,7 +328,8 @@ func (s *Session) auditLocked(ctx context.Context) (AuditStats, error) {
 	st := AuditStats{
 		Devices: fr.Stats.Devices, Failed: fr.Stats.Failed,
 		Classes: fr.Stats.Classes, RepPairs: fr.Stats.RepPairs,
-		RepComputed: fr.Stats.RepComputed, DurNS: int64(time.Since(start)),
+		RepComputed: fr.Stats.RepComputed, RepMirrored: fr.Stats.RepMirrored,
+		DurNS: int64(time.Since(start)),
 	}
 
 	index := make(map[string]int, len(names))

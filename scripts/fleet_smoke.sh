@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI smoke for the fleet-scale path: generate a 200-device fleet, audit
-# it cold and warm through one -cache-dir, and assert the two properties
-# the clustering + cache design promises — far fewer semantic classes
-# than devices, and a warm rerun at least 5x faster than cold. The cold
+# it cold and warm through one -cache-dir, and assert the properties the
+# clustering + cache design promises — far fewer semantic classes than
+# devices, mirrored representative pairs diffed in one joint pass, and a
+# warm rerun at least 5x faster than cold. The cold
 # run records a flight-recorder journal, which `campion report` must
 # replay into a deterministic summary and a valid Chrome trace.
 #
@@ -33,10 +34,18 @@ t0=$(date +%s%N)
 warm_ms=$((($(date +%s%N) - t0) / 1000000))
 
 classes=$(sed -n 's/.*classes: \([0-9]*\).*/\1/p' "$work/cold.err" | head -1)
-echo "fleet smoke: 200 devices, $classes classes, cold ${cold_ms}ms, warm ${warm_ms}ms"
+mirrored=$(sed -n 's/.* \([0-9]*\) of them mirrored.*/\1/p' "$work/cold.err" | head -1)
+echo "fleet smoke: 200 devices, $classes classes, ${mirrored:-?} rep pairs mirrored, cold ${cold_ms}ms, warm ${warm_ms}ms"
 
 if [ -z "$classes" ] || [ "$classes" -ge 200 ]; then
     echo "FAIL: expected semantic clustering to find fewer classes than devices" >&2
+    exit 1
+fi
+# Each mutant class is needed in both orientations against the template
+# class, so the cold run must diff those pairs jointly.
+if [ -z "$mirrored" ] || [ "$mirrored" -eq 0 ]; then
+    echo "FAIL: cold run mirrored no representative pair" >&2
+    sed -n '/--- fleet ---/,$p' "$work/cold.err" >&2
     exit 1
 fi
 if ! cmp -s "$work/cold.out" "$work/warm.out"; then
