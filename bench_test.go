@@ -517,29 +517,6 @@ func BenchmarkSemanticDiffRouteMap300(b *testing.B) { benchRouteMapDiff(b, 300) 
 // — its DDNF dag is the known wall at this clause count.
 func BenchmarkSemanticDiffRouteMap10000(b *testing.B) { benchRouteMapDiff(b, 10000) }
 
-// BenchmarkRouteMapOrderSearch measures the static variable-order search
-// itself (5 candidate layouts, a 96-clause sample each) and reports the
-// sample node counts of the identity layout and the winner — the
-// ordering-comparison row of scripts/bench.sh.
-func BenchmarkRouteMapOrderSearch(b *testing.B) {
-	pair := policygen.Generate(policygen.Params{Seed: 3, Clauses: 300, Differences: 5})
-	c, err := cisco.Parse("c.cfg", pair.CiscoText)
-	if err != nil {
-		b.Fatal(err)
-	}
-	j, err := juniper.Parse("j.cfg", pair.JuniperText)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var idN, bestN int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, idN, bestN = symbolic.ChooseRouteOrder(c, j)
-	}
-	b.ReportMetric(float64(idN), "identity-nodes/op")
-	b.ReportMetric(float64(bestN), "best-nodes/op")
-}
-
 // BenchmarkRouteEncodingBuild measures the fixed set-up a route-map
 // worker pays per pair before compiling any clause: the route encoding
 // (vocabulary atomization plus the WellFormed constraint) and the header

@@ -202,6 +202,7 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 			inner := inner
 			if inner.Workers == 1 && !opts.NoPolicyCache {
 				inner.PolicyCache = core.NewPolicyCache()
+				defer inner.PolicyCache.Release()
 			}
 			var hasher *fleet.Hasher
 			hashFor := func(cfg *Config) string {

@@ -11,7 +11,7 @@ import (
 // the diff engine has.
 type (
 	// RepairOptions tunes the repair search (edit budget, candidate
-	// budget, sampling, kernel modes, observability sinks).
+	// budget, sampling, node budget, observability sinks).
 	RepairOptions = repair.Options
 	// RepairResult is the outcome of one Repair call: per-pair outcomes,
 	// and the fully patched config when every differing pair repaired.

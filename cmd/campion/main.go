@@ -65,13 +65,6 @@
 //	    run has fewer unique comparisons than workers and a comparison is
 //	    large (10k-rule scale), the comparison itself is partitioned
 //	    across the workers (intra-pair striping); output is unchanged
-//	-reorder
-//	    search a family of BDD variable orders per configuration pair
-//	    (scored by compiling a clause sample) and apply the winner to
-//	    every factory of the route-map component; output is unchanged
-//	-gc
-//	    garbage-collect long-lived BDD factories between pairs, keeping
-//	    batch memory flat on large fleet audits; output is unchanged
 //	-stats
 //	    print per-component wall time and BDD statistics to stderr
 //	-cpuprofile=FILE, -memprofile=FILE
@@ -160,10 +153,6 @@ func run() int {
 		"additionally run the monolithic Minesweeper-style baseline on matched route maps (the paper's §2 comparison)")
 	all := flag.Bool("all", false, "compare every pair of configurations within one directory")
 	workers := flag.Int("workers", 0, "comparison concurrency (0 = one per CPU)")
-	reorder := flag.Bool("reorder", false,
-		"search BDD variable orders per configuration pair and use the winner (output is unchanged)")
-	gcFlag := flag.Bool("gc", false,
-		"garbage-collect long-lived BDD factories between pairs (bounds batch memory; output is unchanged)")
 	stats := flag.Bool("stats", false, "print per-component wall time and BDD statistics to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -247,8 +236,6 @@ func run() int {
 	var opts0 campion.Options
 	opts0.ExhaustiveCommunities = *exhaustiveComms
 	opts0.Workers = *workers
-	opts0.Reorder = *reorder
-	opts0.GC = *gcFlag
 	opts0.MaxNodes = *maxNodes
 	if *components != "" {
 		for _, c := range strings.Split(*components, ",") {

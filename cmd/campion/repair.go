@@ -27,8 +27,6 @@ func repairCmd(args []string) int {
 	seed := fs.Int64("seed", 0, "sampling RNG seed (the search itself is deterministic)")
 	timeout := fs.Duration("timeout", 0, "deadline for the whole repair run (0 = none)")
 	maxNodes := fs.Int("max-nodes", 0, "BDD node budget per candidate evaluation (0 = unlimited)")
-	reorder := fs.Bool("reorder", false, "search BDD variable orders and use the winner")
-	gcFlag := fs.Bool("gc", false, "trim the localization encoding's unique table before the candidate loop")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable result instead of the text patch")
 	apply := fs.Bool("apply", false, "rewrite CONFIG2 in place with the verified patched text")
 	vendor1 := fs.String("vendor1", "auto", "dialect of CONFIG1: auto, cisco, juniper, arista")
@@ -64,7 +62,6 @@ func repairCmd(args []string) int {
 	opts := campion.RepairOptions{
 		MaxEdits: *budget, MaxCandidates: *maxCandidates, TopK: *topk,
 		Samples: *samples, Seed: *seed, Timeout: *timeout, MaxNodes: *maxNodes,
-		Reorder: *reorder, GC: *gcFlag,
 		Metrics: campion.DefaultMetrics(),
 	}
 	if *journalPath != "" {

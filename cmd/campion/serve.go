@@ -36,8 +36,6 @@ func serveCmd(args []string) int {
 	journalPath := fs.String("journal", "",
 		"append a JSONL flight-recorder journal of every snapshot and audit to this file")
 	workers := fs.Int("workers", 0, "comparison concurrency per audit (0 = one per CPU)")
-	reorder := fs.Bool("reorder", false, "search BDD variable orders per pair (output is unchanged)")
-	gcFlag := fs.Bool("gc", false, "garbage-collect BDD factories between pairs")
 	maxNodes := fs.Int("max-nodes", 0, "BDD node budget per semantic task (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "deadline per audit (0 = none)")
 	components := fs.String("components", "", "comma-separated component list (default: all)")
@@ -67,8 +65,6 @@ func serveCmd(args []string) int {
 	var opts campion.Options
 	opts.ExhaustiveCommunities = *exhaustiveComms
 	opts.Workers = *workers
-	opts.Reorder = *reorder
-	opts.GC = *gcFlag
 	opts.MaxNodes = *maxNodes
 	opts.Timeout = *timeout
 	opts.Metrics = campion.DefaultMetrics()

@@ -86,17 +86,10 @@ type Factory struct {
 	// variable node can never be a terminal.
 	varCache []Node
 
-	// Variable order (see order.go): var2level maps a variable index to
-	// its decision level, level2var is the inverse. nil means identity —
-	// the fast path every factory starts in.
-	var2level []int32
-	level2var []int32
-
 	// quantification scratch, reused across Exists calls
 	existsMask []bool
 
 	cacheHits, cacheMisses uint64
-	gcRuns, gcReclaimed    uint64
 
 	// Interrupt state (see SetInterrupt). maxNodes bounds the nodes
 	// allocated since the last BeginWork; poll is the cancellation check
@@ -261,9 +254,6 @@ func (f *Factory) Reset(numVars int) {
 		f.existsMask = nil
 	}
 	f.cacheHits, f.cacheMisses = 0, 0
-	// The variable order belongs to the workload being discarded; the
-	// next owner installs its own (or inherits the identity).
-	f.var2level, f.level2var = nil, nil
 	// The interrupt configuration survives (it belongs to the factory's
 	// current owner), but the budget baseline moves to the fresh arena.
 	f.workBase = len(f.nodes)
@@ -277,8 +267,6 @@ type Stats struct {
 	UniqueSlots int    // current hash-consing table capacity
 	CacheHits   uint64 // op-cache hits since creation or Reset
 	CacheMisses uint64 // op-cache misses since creation or Reset
-	GCRuns      uint64 // garbage collections since creation (survives Reset)
-	GCReclaimed uint64 // nodes reclaimed by those collections
 }
 
 // Stats reports the factory's current allocation and cache counters.
@@ -289,8 +277,6 @@ func (f *Factory) Stats() Stats {
 		UniqueSlots: len(f.unique),
 		CacheHits:   f.cacheHits,
 		CacheMisses: f.cacheMisses,
-		GCRuns:      f.gcRuns,
-		GCReclaimed: f.gcReclaimed,
 	}
 }
 
@@ -309,8 +295,6 @@ func (s Stats) Delta(since Stats) Stats {
 		UniqueSlots: s.UniqueSlots,
 		CacheHits:   s.CacheHits - since.CacheHits,
 		CacheMisses: s.CacheMisses - since.CacheMisses,
-		GCRuns:      s.GCRuns - since.GCRuns,
-		GCReclaimed: s.GCReclaimed - since.GCReclaimed,
 	}
 }
 
@@ -478,7 +462,7 @@ func (f *Factory) Var(i int) Node {
 	if v := f.varCache[i]; v != 0 {
 		return v
 	}
-	v := f.mk(f.levelOfVar(i), False, True)
+	v := f.mk(int32(i), False, True)
 	f.varCache[i] = v
 	return v
 }
@@ -657,7 +641,7 @@ func (f *Factory) AndLit(i int, val bool, n Node) Node {
 	if n == False {
 		return False
 	}
-	lv := f.levelOfVar(i)
+	lv := int32(i)
 	if n == True || lv < f.level(n) {
 		f.checkVar(i)
 		if val {
@@ -674,7 +658,7 @@ func (f *Factory) OrLit(i int, val bool, n Node) Node {
 	if n == True {
 		return True
 	}
-	lv := f.levelOfVar(i)
+	lv := int32(i)
 	if n == False || lv < f.level(n) {
 		f.checkVar(i)
 		if val {
@@ -891,12 +875,12 @@ func (f *Factory) Exists(n Node, vars []int) Node {
 	}
 	for _, v := range vars {
 		f.checkVar(v)
-		f.existsMask[f.levelOfVar(v)] = true
+		f.existsMask[v] = true
 	}
 	memo := make(map[Node]Node)
 	r := f.exists(n, memo)
 	for _, v := range vars {
-		f.existsMask[f.levelOfVar(v)] = false
+		f.existsMask[v] = false
 	}
 	return r
 }
@@ -928,7 +912,7 @@ func (f *Factory) exists(n Node, memo map[Node]Node) Node {
 // Restrict fixes variable v to val inside n.
 func (f *Factory) Restrict(n Node, v int, val bool) Node {
 	f.checkVar(v)
-	lv := f.levelOfVar(v)
+	lv := int32(v)
 	memo := make(map[Node]Node)
 	var walk func(Node) Node
 	walk = func(m Node) Node {
@@ -965,16 +949,12 @@ func (f *Factory) Restrict(n Node, v int, val bool) Node {
 type Assignment []int8
 
 // AnySat returns one satisfying partial assignment of n, or nil if n is
-// unsatisfiable. Unmentioned variables are -1 (don't care). The witness
-// is canonical across variable orders: it reads as the lexicographically
-// least satisfying input by variable index (don't-cares as false), so
-// reordering a factory never changes witness-derived output.
+// unsatisfiable. Unmentioned variables are -1 (don't care). The descent
+// prefers the low branch, so the witness is the lexicographically least
+// satisfying input by variable index (don't-cares read as false).
 func (f *Factory) AnySat(n Node) Assignment {
 	if n == False {
 		return nil
-	}
-	if f.level2var != nil {
-		return f.anySatOrdered(n)
 	}
 	a := make(Assignment, f.numVars)
 	for i := range a {
@@ -1015,9 +995,9 @@ func (f *Factory) RandSat(n Node, coin func() bool) Assignment {
 		// Variables skipped by the path are unconstrained: coin them.
 		for ; level < nodeLevel; level++ {
 			if coin() {
-				a[f.varAtLevel(int32(level))] = 1
+				a[level] = 1
 			} else {
-				a[f.varAtLevel(int32(level))] = 0
+				a[level] = 0
 			}
 		}
 		if n == True {
@@ -1039,7 +1019,7 @@ func (f *Factory) RandSat(n Node, coin func() bool) Assignment {
 				bit = 1
 			}
 		}
-		a[f.varAtLevel(int32(level))] = bit
+		a[level] = bit
 		level++
 		if bit == 1 {
 			n = hi
@@ -1054,7 +1034,7 @@ func (f *Factory) Eval(n Node, a Assignment) bool {
 	for n > True {
 		d := f.nodes[n>>1]
 		c := n & 1
-		if v := f.varAtLevel(d.level); int(v) < len(a) && a[v] == 1 {
+		if int(d.level) < len(a) && a[d.level] == 1 {
 			n = d.high ^ c
 		} else {
 			n = d.low ^ c
@@ -1067,16 +1047,12 @@ func (f *Factory) Eval(n Node, a Assignment) bool {
 // (don't-care entries are skipped).
 func (f *Factory) Cube(a Assignment) Node {
 	r := True
-	for l := int32(f.numVars) - 1; l >= 0; l-- {
-		v := f.varAtLevel(l)
-		if int(v) >= len(a) {
-			continue
-		}
-		switch a[v] {
+	for l := min(len(a), f.numVars) - 1; l >= 0; l-- {
+		switch a[l] {
 		case 0:
-			r = f.mk(l, r, False)
+			r = f.mk(int32(l), r, False)
 		case 1:
-			r = f.mk(l, False, r)
+			r = f.mk(int32(l), False, r)
 		}
 	}
 	return r
@@ -1120,7 +1096,7 @@ func (f *Factory) Support(n Node) []int {
 			return
 		}
 		seen[i] = true
-		inSupport[f.varAtLevel(f.nodes[i].level)] = true
+		inSupport[f.nodes[i].level] = true
 		walk(f.nodes[i].low)
 		walk(f.nodes[i].high)
 	}
@@ -1153,7 +1129,7 @@ func (f *Factory) WalkCubes(n Node, fn func(Assignment) bool) {
 		}
 		d := f.nodes[m>>1]
 		c := m & 1
-		v := f.varAtLevel(d.level)
+		v := d.level
 		a[v] = 0
 		if !walk(d.low ^ c) {
 			return false
@@ -1170,7 +1146,7 @@ func (f *Factory) WalkCubes(n Node, fn func(Assignment) bool) {
 
 // Level exposes the variable index at the root of n (numVars for
 // terminals).
-func (f *Factory) Level(n Node) int { return int(f.varAtLevel(f.level(n))) }
+func (f *Factory) Level(n Node) int { return int(f.level(n)) }
 
 // Low and High expose node structure for traversals: the effective
 // cofactors of n, with the complement bit pushed down (terminals

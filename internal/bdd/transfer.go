@@ -4,9 +4,8 @@ import "fmt"
 
 // Transfer copies the function rooted at n in src into dst, returning the
 // equivalent node on dst. The copy goes variable-by-variable — each src
-// node (branching on variable v under src's order) becomes an
-// Ite(Var(v), high', low') on dst — so the two factories may use
-// different variable orders; dst re-canonicalizes under its own. memo
+// node branching on variable v becomes an Ite(Var(v), high', low') on
+// dst, which re-canonicalizes it in dst's own arena. memo
 // caches src-to-dst translations across calls for the same factory pair
 // (pass the same map when transferring many roots); complement edges
 // translate for free by memoizing only regular references and re-applying
@@ -31,10 +30,9 @@ func Transfer(dst, src *Factory, n Node, memo map[Node]Node) Node {
 			return r ^ (m & 1)
 		}
 		d := src.nodes[reg>>1]
-		v := src.varAtLevel(d.level)
 		lo := rec(d.low)
 		hi := rec(d.high)
-		r := dst.Ite(dst.Var(int(v)), hi, lo)
+		r := dst.Ite(dst.Var(int(d.level)), hi, lo)
 		memo[reg] = r
 		return r ^ (m & 1)
 	}

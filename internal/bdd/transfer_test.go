@@ -29,21 +29,16 @@ func randomFn(f *Factory, nvars int, seed uint64, ops int) Node {
 }
 
 // TestTransferPreservesFunction: a transferred node denotes the same
-// boolean function on the destination factory, across different variable
-// orders, including complemented references.
+// boolean function on the destination factory, including complemented
+// references.
 func TestTransferPreservesFunction(t *testing.T) {
 	const nvars = 8
 	for seed := uint64(1); seed <= 20; seed++ {
 		src := NewFactory(nvars)
 		dst := NewFactory(nvars)
-		// Destination runs a reversed variable order: transfer must be
-		// order-independent because it rebuilds via Ite on variables.
-		order := make([]int, nvars)
-		for i := range order {
-			order[i] = nvars - 1 - i
-		}
-		dst.SetOrder(order)
-
+		// Unrelated nodes on dst first, so the two arenas number the
+		// same function differently: transfer must rebuild, not copy.
+		randomFn(dst, nvars, seed+100, 10)
 		n := randomFn(src, nvars, seed, 30)
 		memo := map[Node]Node{}
 		got := Transfer(dst, src, n, memo)

@@ -69,14 +69,12 @@ func TestGoldenCorpus(t *testing.T) {
 					buf.Bytes(), want)
 			}
 
-			// Kernel modes are pure optimizations: order search, factory
-			// collection, and intra-pair striping must all render the
-			// exact bytes the default configuration produced.
+			// Execution modes are pure optimizations: intra-pair
+			// striping and the cross-call policy cache must both render
+			// the exact bytes the default configuration produced.
 			for name, opts := range map[string]campion.Options{
-				"reorder": {Reorder: true},
-				"workers": {Workers: 4},
-				"gc":      {Workers: 1, GC: true, PolicyCache: core.NewPolicyCache()},
-				"all":     {Workers: 4, Reorder: true, GC: true},
+				"workers":     {Workers: 4},
+				"policycache": {Workers: 1, PolicyCache: core.NewPolicyCache()},
 			} {
 				mrep, err := campion.Diff(cfg1, cfg2, opts)
 				if err != nil {
@@ -108,7 +106,7 @@ func TestGoldenCorpus(t *testing.T) {
 // TestGoldenCorpusMirror: for every golden pair (a, b), the reverse
 // report of one joint pass renders — as tables and as JSON —
 // byte-identical to an independent Diff(b, a), under the default
-// options and every kernel mode of TestGoldenCorpus.
+// options and every execution mode of TestGoldenCorpus.
 func TestGoldenCorpusMirror(t *testing.T) {
 	entries, err := os.ReadDir("golden")
 	if err != nil {
@@ -141,11 +139,9 @@ func TestGoldenCorpusMirror(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, opts := range map[string]campion.Options{
-			"default": {},
-			"reorder": {Reorder: true},
-			"workers": {Workers: 4},
-			"gc":      {Workers: 1, GC: true, PolicyCache: core.NewPolicyCache()},
-			"all":     {Workers: 4, Reorder: true, GC: true},
+			"default":     {},
+			"workers":     {Workers: 4},
+			"policycache": {Workers: 1, PolicyCache: core.NewPolicyCache()},
 		} {
 			fwd, rev, err := core.DiffBoth(context.Background(), cfg1, cfg2, opts)
 			if err != nil {

@@ -91,28 +91,6 @@ type Options struct {
 	// atomics resolved once per component, so the enabled path stays off
 	// the BDD hot loops and the disabled path is a nil check.
 	Metrics *obs.Registry
-	// Reorder enables the static variable-order search: before the
-	// route-map component runs, a small family of block permutations is
-	// scored by compiling a clause sample and counting nodes, and the
-	// winning order (if any beats the default layout) is applied to every
-	// factory the component builds. Reports are byte-identical across
-	// orders — candidates preserve intra-block variable order and witness
-	// extraction is order-canonical. With a cross-call PolicyCache the
-	// search reruns each Diff call and a changed winner forces a cache
-	// rebuild, so long-lived factories re-evaluate their order as the
-	// workload drifts (rebuild-based dynamic reordering).
-	Reorder bool
-	// GC enables unique-table garbage collection on long-lived factories:
-	// after each Diff call's route-map tasks, a cross-call PolicyCache
-	// whose arena exceeds a threshold is mark-swept down to its live
-	// encoding, memo tables, and compiled chains. Product intermediates
-	// and dead path guards from earlier pairs are reclaimed, keeping batch
-	// (DiffAll) memory flat instead of monotone. No effect on reports.
-	GC bool
-	// routeOrder carries the order chosen by the Reorder search to every
-	// encoding constructor of the route-map component (internal plumbing;
-	// nil means the default layout).
-	routeOrder []int
 	// MaxNodes bounds the BDD nodes one semantic task (a route-map chain
 	// comparison, an ACL pair, or the shared encoding construction) may
 	// allocate before it is aborted with an ErrBudget PairError — the
@@ -169,11 +147,6 @@ const (
 	MetricWorkerWait        = "campion_worker_wait_nanoseconds_total"
 	MetricComponentLatency  = "campion_component_duration_nanoseconds"
 	MetricDiffsFound        = "campion_diffs_total"
-	MetricBDDLiveNodes      = "campion_bdd_live_nodes"
-	MetricGCRuns            = "campion_bdd_gc_runs_total"
-	MetricGCReclaimed       = "campion_bdd_gc_reclaimed_nodes_total"
-	MetricReorderPasses     = "campion_reorder_passes_total"
-	MetricReorderNodeDelta  = "campion_reorder_node_delta"
 	MetricIntraPairStripes  = "campion_intra_pair_stripes_total"
 )
 
@@ -228,42 +201,6 @@ func (o Options) recordPolicyCache(fp string, hits, misses, rebuilds int) {
 		m.Counter(MetricPolicyRebuilds, "policy-cache encoding rebuilds (vocabulary changed)", l).
 			Add(uint64(rebuilds))
 	}
-}
-
-// recordGC flushes a unique-table collection profile: how many
-// collections ran, how many nodes they reclaimed, and the live arena
-// size left behind (a gauge — the number batch drivers watch for
-// flatness).
-func (o Options) recordGC(component string, runs, reclaimed uint64, liveNodes int) {
-	m := o.Metrics
-	if m == nil {
-		return
-	}
-	comp := obs.L("component", component)
-	m.Gauge(MetricBDDLiveNodes, "live BDD nodes on the long-lived factory after GC", comp).
-		Set(int64(liveNodes))
-	if runs == 0 {
-		return
-	}
-	m.Counter(MetricGCRuns, "unique-table garbage collections", comp).Add(runs)
-	m.Counter(MetricGCReclaimed, "BDD nodes reclaimed by unique-table GC", comp).Add(reclaimed)
-}
-
-// recordReorder flushes one variable-order search: a pass counter split
-// by whether an alternative order won, and the node savings the winner
-// showed on the scoring sample.
-func (o Options) recordReorder(identityNodes, bestNodes int, won bool) {
-	m := o.Metrics
-	if m == nil {
-		return
-	}
-	outcome := "identity"
-	if won {
-		outcome = "reordered"
-	}
-	m.Counter(MetricReorderPasses, "variable-order searches run", obs.L("outcome", outcome)).Add(1)
-	m.Histogram(MetricReorderNodeDelta, "sample-node savings of the winning order").
-		Observe(int64(identityNodes - bestNodes))
 }
 
 // recordStripes counts one intra-pair striped comparison at its stripe
@@ -391,10 +328,6 @@ type ComponentStats struct {
 	// PolicyCacheHits counts route-map chains recalled from a policy
 	// cache (cross-pair or per-worker transient) instead of recompiled.
 	PolicyCacheHits int
-	// GCRuns and GCReclaimed count unique-table collections (and the
-	// nodes they freed) on this component's long-lived factory during
-	// this call (Options.GC).
-	GCRuns, GCReclaimed uint64
 	// Stripes is the intra-pair stripe width used when a single oversized
 	// comparison was partitioned across workers; 0 when unstriped.
 	Stripes int
@@ -715,28 +648,6 @@ func diffRouteMaps(ctx context.Context, rep *Report, mir *mirror, c1, c2 *ir.Con
 	}
 	stats.Pairs = len(pairs)
 	stats.UniquePairs = len(tasks)
-
-	if opts.Reorder {
-		// Static order search: score a handful of block permutations on a
-		// clause sample and thread the winner to every factory below. The
-		// search runs under the same fault guard as encoding construction
-		// — a pathological vocabulary aborts the component, not the
-		// process.
-		var searchErr error
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					searchErr = buildFailure(r, c1)
-				}
-			}()
-			order, idN, bestN := symbolic.ChooseRouteOrder(c1, c2)
-			opts.routeOrder = order
-			opts.recordReorder(idN, bestN, order != nil)
-		}()
-		if searchErr != nil {
-			return searchErr
-		}
-	}
 
 	results := runRouteMapTasks(ctx, c1, c2, tasks, opts, stats, span)
 

@@ -188,6 +188,39 @@ func TestBudgetAbortWithPolicyCache(t *testing.T) {
 	}
 }
 
+// TestPolicyCacheRelease: Release leaves the cache cold, whether its
+// last call succeeded or a budget abort invalidated it, and a released
+// cache that is used again rebuilds and reports exactly as before.
+func TestPolicyCacheRelease(t *testing.T) {
+	c1, c2 := syntheticFleetPair(t, 4, 1)
+	want, err := Diff(c1, c2, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := NewPolicyCache()
+	for _, maxNodes := range []int{0, 8} {
+		_, err := Diff(c1, c2, Options{Workers: 1, PolicyCache: pc, MaxNodes: maxNodes})
+		if (maxNodes != 0) != errors.Is(err, ErrBudget) {
+			t.Fatalf("MaxNodes %d: %v", maxNodes, err)
+		}
+		pc.Release()
+		if pc.enc != nil || pc.fp != "" || len(pc.paths) != 0 {
+			t.Fatalf("MaxNodes %d: cache not cold after Release", maxNodes)
+		}
+		rebuilds := pc.Rebuilds
+		rep, err := Diff(c1, c2, Options{Workers: 1, PolicyCache: pc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pc.Rebuilds != rebuilds+1 {
+			t.Fatalf("MaxNodes %d: released cache served without a rebuild", maxNodes)
+		}
+		if renderReport(rep) != renderReport(want) {
+			t.Fatalf("MaxNodes %d: report after Release diverges", maxNodes)
+		}
+	}
+}
+
 // TestPairErrorRendering: the Error string carries pair, kind, cause,
 // and file:line provenance in a greppable shape.
 func TestPairErrorRendering(t *testing.T) {

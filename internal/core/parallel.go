@@ -287,7 +287,7 @@ func runRouteMapTasks(ctx context.Context, c1, c2 *ir.Config, tasks []rmTask, op
 					enc, loc, pc = nil, nil, nil
 				}
 			}()
-			e := symbolic.NewRouteEncodingIntoOrdered(newArmedFactory(ctx, opts), opts.routeOrder, c1, c2)
+			e := symbolic.NewRouteEncodingInto(newArmedFactory(ctx, opts), c1, c2)
 			loc = &lazyLocalizer{enc: e, c1: c1, c2: c2}
 			pc = newWorkerPolicyCache(e)
 			enc = e
@@ -430,19 +430,8 @@ func runRouteMapTasksCached(ctx context.Context, c1, c2 *ir.Config, tasks []rmTa
 			}
 		}
 	}
-	d := enc.F.Stats().Delta(st0) // allocation deltas, before any compaction
-	if opts.GC && !poisoned {
-		// Between-pairs collection point of the cross-pair path: the diff
-		// products of this call's tasks are dead, the compiled chains and
-		// memo tables are live and get reseated. Skipped on a poisoned
-		// cache — invalidate rebuilds it anyway.
-		pc.maybeGC()
-	}
+	d := enc.F.Stats().Delta(st0)
 	enc.F.ClearInterrupt() // the cache factory outlives this ctx
-	gcd := enc.F.Stats().Delta(st0)
-	stats.GCRuns += gcd.GCRuns
-	stats.GCReclaimed += gcd.GCReclaimed
-	opts.recordGC(string(stats.Component), gcd.GCRuns, gcd.GCReclaimed, enc.F.Stats().Nodes)
 	stats.BDDNodes += d.Nodes
 	stats.CacheHits += d.CacheHits
 	stats.CacheMisses += d.CacheMisses

@@ -11,7 +11,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/bdd"
@@ -72,12 +71,7 @@ func newWorkerPolicyCache(enc *symbolic.RouteEncoding) *PolicyCache {
 // recalled or rebuilt, so even vocabulary atomization honors
 // cancellation.
 func (pc *PolicyCache) encodingFor(ctx context.Context, c1, c2 *ir.Config, opts Options) *symbolic.RouteEncoding {
-	// The chosen variable order is part of the cache identity: a cached
-	// encoding built under one order must not serve a run that chose
-	// another. With Options.Reorder the search reruns every Diff call, so
-	// a workload drift that flips the winner lands here as a rebuild —
-	// that rebuild is the "dynamic reordering" of long-lived factories.
-	fp := symbolic.VocabFingerprint(c1, c2) + orderKey(opts.routeOrder)
+	fp := symbolic.VocabFingerprint(c1, c2)
 	if pc.enc != nil && pc.fp == fp {
 		pc.enc.F.SetInterrupt(opts.MaxNodes, func() error { return ctxErr(ctx) })
 		return pc.enc
@@ -91,55 +85,11 @@ func (pc *PolicyCache) encodingFor(ctx context.Context, c1, c2 *ir.Config, opts 
 	} else {
 		f = newArmedFactory(ctx, opts)
 	}
-	pc.enc = symbolic.NewRouteEncodingIntoOrdered(f, opts.routeOrder, c1, c2)
+	pc.enc = symbolic.NewRouteEncodingInto(f, c1, c2)
 	pc.fp = fp
 	clear(pc.paths)
 	pc.Rebuilds++
 	return pc.enc
-}
-
-// orderKey renders a variable order for fingerprinting (nil — the
-// default layout — is the empty string).
-func orderKey(order []int) string {
-	if order == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('\x02')
-	for _, v := range order {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	return b.String()
-}
-
-// gcNodeThreshold is the arena size (in nodes) past which an enabled
-// collection actually runs. Below it a sweep would save little and cost
-// a full mark pass; above it the arena is dominated by dead product
-// intermediates from completed comparisons. A var so tests can lower it.
-var gcNodeThreshold = 1 << 17
-
-// maybeGC collects the cache factory's unique table if the arena has
-// outgrown the threshold. Roots are the encoding's own state (WellFormed
-// plus all memo tables) and every compiled chain's path guards; the
-// guards are reseated in place, so recalled chains stay valid. Callers
-// must not hold any other node from this factory across the call.
-func (pc *PolicyCache) maybeGC() {
-	if pc.enc == nil || pc.enc.F.Stats().Nodes < gcNodeThreshold {
-		return
-	}
-	var extra []bdd.Node
-	var slots []func(bdd.Node)
-	for k := range pc.paths {
-		e := pc.paths[k]
-		for j := range e.paths {
-			paths, j := e.paths, j
-			extra = append(extra, paths[j].Guard)
-			slots = append(slots, func(n bdd.Node) { paths[j].Guard = n })
-		}
-	}
-	for i, n := range pc.enc.GC(extra) {
-		slots[i](n)
-	}
 }
 
 // invalidate flushes the compiled chains and forces the next encodingFor
@@ -149,6 +99,18 @@ func (pc *PolicyCache) maybeGC() {
 // still recycled through the rebuild's Reset.
 func (pc *PolicyCache) invalidate() {
 	pc.fp = ""
+	clear(pc.paths)
+}
+
+// Release empties the cache and returns its factory to the shared pool,
+// for an owner that is done with it (a batch worker at exit). A cache a
+// failure invalidated keeps its factory out of the pool: a recovered
+// crash leaves its state unverified. The cache starts cold if used again.
+func (pc *PolicyCache) Release() {
+	if pc.enc != nil && pc.fp != "" {
+		putFactory(pc.enc.F)
+	}
+	pc.enc, pc.fp = nil, ""
 	clear(pc.paths)
 }
 

@@ -151,7 +151,7 @@ func runStripedRouteMapTask(ctx context.Context, c1, c2 *ir.Config, t rmTask, st
 				mainEnc = nil
 			}
 		}()
-		e := symbolic.NewRouteEncodingIntoOrdered(newArmedFactory(ctx, opts), opts.routeOrder, c1, c2)
+		e := symbolic.NewRouteEncodingInto(newArmedFactory(ctx, opts), c1, c2)
 		e.F.BeginWork()
 		mainEnc = e
 	}
@@ -169,7 +169,7 @@ func runStripedRouteMapTask(ctx context.Context, c1, c2 *ir.Config, t rmTask, st
 				res[s].err = &PairError{Pair: t.label(), Kind: ErrCanceled, File: file, Line: line, Err: err}
 				return
 			}
-			enc := symbolic.NewRouteEncodingIntoOrdered(newArmedFactory(ctx, opts), opts.routeOrder, c1, c2)
+			enc := symbolic.NewRouteEncodingInto(newArmedFactory(ctx, opts), c1, c2)
 			res[s].enc = enc
 			enc.F.BeginWork()
 			region := enc.RegionBDD(lo, hi)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/aclgen"
@@ -117,78 +116,5 @@ func TestStripedDeterminism(t *testing.T) {
 		if got := run(); got != first {
 			t.Fatalf("striped run %d differs:\n%s\nvs\n%s", i, got, first)
 		}
-	}
-}
-
-// TestReorderMatchesDefault: variable-order search changes only node
-// counts, never output — with and without the worker pool.
-func TestReorderMatchesDefault(t *testing.T) {
-	c1, c2 := syntheticFleetPair(t, 4, 2)
-	base, err := Diff(c1, c2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderReport(base)
-	if !strings.Contains(want, "SET LOCAL PREF") {
-		t.Fatal("synthetic pair found no differences")
-	}
-	for _, opts := range []Options{
-		{Reorder: true},
-		{Reorder: true, Workers: 4},
-		{Reorder: true, Workers: 1, PolicyCache: NewPolicyCache()},
-	} {
-		rep, err := Diff(c1, c2, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderReport(rep); got != want {
-			t.Errorf("%+v: reordered report diverges:\n%s\nvs\n%s", opts, got, want)
-		}
-	}
-}
-
-// TestGCBoundsCacheNodes: with collection enabled and the threshold
-// lowered, a long-lived PolicyCache's arena must stay under a fixed
-// ceiling across many calls, the collector must actually run, and the
-// reports must match a GC-off baseline byte for byte.
-func TestGCBoundsCacheNodes(t *testing.T) {
-	defer func(v int) { gcNodeThreshold = v }(gcNodeThreshold)
-	gcNodeThreshold = 1 << 12
-
-	c1, c2 := syntheticFleetPair(t, 40, 2)
-	baseline, err := Diff(c1, c2, Options{Workers: 1, Components: []Component{ComponentRouteMaps}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderReport(baseline)
-
-	pc := NewPolicyCache()
-	var gcRuns uint64
-	for i := 0; i < 6; i++ {
-		rep, err := Diff(c1, c2, Options{Workers: 1, GC: true, PolicyCache: pc,
-			Components: []Component{ComponentRouteMaps}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderReport(rep); got != want {
-			t.Fatalf("call %d: GC'd report diverges:\n%s\nvs\n%s", i, got, want)
-		}
-		gcRuns += rep.Stats[0].GCRuns
-	}
-	if gcRuns == 0 {
-		t.Fatal("collector never ran despite lowered threshold")
-	}
-	// Node ceiling: after each call ends with a sweep, the cache factory
-	// must hold only live state — nowhere near the unswept accumulation.
-	live := 0
-	if pc.enc != nil {
-		live = pc.enc.F.Stats().Nodes
-	}
-	if live == 0 {
-		t.Fatal("policy cache empty after cached runs")
-	}
-	ceiling := gcNodeThreshold * 4
-	if live > ceiling {
-		t.Fatalf("cache factory holds %d nodes, ceiling %d: GC is not bounding memory", live, ceiling)
 	}
 }

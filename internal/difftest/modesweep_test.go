@@ -15,7 +15,7 @@ import (
 )
 
 // render flattens a report the way a user sees it; byte equality here is
-// the strongest identity the kernel modes promise.
+// the strongest identity the execution modes promise.
 func render(t *testing.T, rep *campion.Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -27,10 +27,8 @@ func render(t *testing.T, rep *campion.Report) []byte {
 
 func modes() map[string]campion.Options {
 	return map[string]campion.Options{
-		"reorder": {Reorder: true},
-		"striped": {Workers: 4},
-		"gc":      {Workers: 1, GC: true, PolicyCache: core.NewPolicyCache()},
-		"all":     {Workers: 4, Reorder: true, GC: true},
+		"striped":     {Workers: 4},
+		"policycache": {Workers: 1, PolicyCache: core.NewPolicyCache()},
 	}
 }
 
@@ -69,9 +67,8 @@ func aclSweepPair(seed int) (*ir.Config, *ir.Config) {
 }
 
 // TestRouteMapModeSweep: over the generated route-map corpus, every
-// kernel v3 mode (order search, factory GC, intra-pair striping, and
-// their combination) renders byte-identical reports to the default
-// engine. The oracle sweeps in this package check witness soundness;
+// execution mode (intra-pair striping, the cross-call policy cache)
+// renders byte-identical reports to the default engine. The oracle sweeps in this package check witness soundness;
 // this one checks that the performance modes are invisible.
 func TestRouteMapModeSweep(t *testing.T) {
 	seeds := 500

@@ -57,10 +57,12 @@ const entryMagic = "campion-cache"
 // EnableMemo layers a write-through in-memory copy over a disk store, so
 // a daemon that already paid the disk read (or write) for an entry never
 // pays it again; the disk keeps its role as the cross-restart warm
-// start. Memo entries are never evicted — SetMaxReports bounds only the
-// on-disk report files — so a memoized report can outlive its disk copy;
-// that is safe (entries are immutable content keyed by their full
-// identity) and bounded by the fleet the process actually audits.
+// start. Memo entries are never dropped — SetMaxReports bounds only the
+// on-disk report files — so a memoized report can outlive its disk copy.
+// That is safe (entries are immutable content keyed by their full
+// identity), but the memo is not bounded by the live fleet: a daemon's
+// memo grows with every fresh edit, by about 3.1 MB each on a 200-device
+// fleet. ROADMAP.md's open item on bounding daemon memory tracks the fix.
 type Store struct {
 	dir        string // <root>/v1; "" for a memory-only store
 	maxReports int64
@@ -447,9 +449,9 @@ func (s *Store) discard(path, kind string) {
 // OptionsFingerprint digests the report-affecting comparison options for
 // the report-cache key. Only settings that change report bytes
 // participate: the component set and the exhaustive-communities mode.
-// Workers, Reorder, and GC are deliberately excluded — reports are
-// byte-identical across them (pinned by the PR 6 golden-corpus mode
-// sweep) — so a cache warmed under one execution mode serves all others.
+// Execution modes (Workers, PolicyCache) are deliberately excluded —
+// reports are byte-identical across them (pinned by the golden-corpus
+// mode sweep) — so a cache warmed under one mode serves all others.
 func OptionsFingerprint(opts core.Options) string {
 	comps := make([]string, len(opts.Components))
 	for i, c := range opts.Components {

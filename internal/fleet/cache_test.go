@@ -246,7 +246,7 @@ func TestStoreConcurrent(t *testing.T) {
 
 func TestOptionsFingerprint(t *testing.T) {
 	base := OptionsFingerprint(core.Options{})
-	if OptionsFingerprint(core.Options{Workers: 8, Reorder: true, GC: true}) != base {
+	if OptionsFingerprint(core.Options{Workers: 8}) != base {
 		t.Fatal("execution-mode options changed the fingerprint; cached reports are mode-invariant")
 	}
 	if OptionsFingerprint(core.Options{ExhaustiveCommunities: true}) == base {

@@ -54,12 +54,6 @@ type Options struct {
 	// MaxNodes is the per-pair BDD node budget (0 = unlimited); overrun
 	// degrades the pair to a structured ErrBudget failure.
 	MaxNodes int
-	// Reorder enables the static variable-order heuristic for the
-	// encodings the search builds.
-	Reorder bool
-	// GC trims the initial encoding's unique table after witness
-	// collection, bounding peak memory while the candidate loop runs.
-	GC bool
 	// Journal, when non-nil, receives one EvRepair event per pair.
 	Journal *obs.Journal
 	// Metrics, when non-nil, receives campion_repair_* counters.
@@ -286,7 +280,7 @@ func (r *Result) applyCombined(opts Options) {
 	for _, p := range r.Pairs {
 		rm1 := core.ResolveChain(r.Config1, p.Pair.Names1)
 		rm2 := core.ResolveChain(patched, p.Pair.Names2)
-		enc := buildEncoding(f, opts, r.Config1, patched)
+		enc := symbolic.NewRouteEncodingInto(f, r.Config1, patched)
 		ds, err := semdiff.DiffRouteMapsLimit(enc, r.Config1, rm1, patched, rm2, 1)
 		if err != nil || len(ds) != 0 {
 			r.Conflicts = append(r.Conflicts, p.Pair.String())
@@ -345,17 +339,6 @@ func pollFn(ctx context.Context) func() error {
 	}
 }
 
-// buildEncoding constructs a route encoding on f honoring the reorder
-// option. NewRouteEncodingInto* resets the factory, so per-candidate
-// rebuilds do not accumulate nodes across evaluations.
-func buildEncoding(f *bdd.Factory, opts Options, cfgs ...*ir.Config) *symbolic.RouteEncoding {
-	if opts.Reorder {
-		order, _, _ := symbolic.ChooseRouteOrder(cfgs...)
-		return symbolic.NewRouteEncodingIntoOrdered(f, order, cfgs...)
-	}
-	return symbolic.NewRouteEncodingInto(f, cfgs...)
-}
-
 // pairFailure converts a recovered panic into the pair's structured
 // error, mirroring core's taskFailure taxonomy.
 func pairFailure(r any, pair core.PolicyPair) error {
@@ -406,7 +389,7 @@ func searchChain(ctx context.Context, cfg1, cfg2 *ir.Config, pair core.PolicyPai
 	// Initial diff + witness collection on a dedicated factory.
 	f := bdd.NewFactory(0)
 	f.SetInterrupt(opts.MaxNodes, poll)
-	enc0 := buildEncoding(f, opts, cfg1, cfg2)
+	enc0 := symbolic.NewRouteEncodingInto(f, cfg1, cfg2)
 	diffs0, err := semdiff.DiffRouteMaps(enc0, cfg1, rm1, cfg2, rm2)
 	if err != nil {
 		pr.Err = &core.PairError{Pair: pair.String(), Kind: core.ErrInternal, Err: err}
@@ -419,9 +402,6 @@ func searchChain(ctx context.Context, cfg1, cfg2 *ir.Config, pair core.PolicyPai
 
 	routes := collectRoutes(enc0, diffs0, opts)
 	terms := localizeDiffs(enc0, cfg1, cfg2, diffs0)
-	if opts.GC {
-		enc0.GC(nil)
-	}
 
 	gctx := newGenContext(cfg1, cfg2, rm1, rm2, pair.Names2, terms)
 	singles := generate(gctx, diffs0)
@@ -454,7 +434,7 @@ func searchChain(ctx context.Context, cfg1, cfg2 *ir.Config, pair core.PolicyPai
 				return evalResult{}
 			}
 		}
-		enc := buildEncoding(f2, opts, cfg1, patched)
+		enc := symbolic.NewRouteEncodingInto(f2, cfg1, patched)
 		rm2p := core.ResolveChain(patched, pair.Names2)
 		ds, err := semdiff.DiffRouteMapsLimit(enc, cfg1, rm1, patched, rm2p, limit)
 		if err != nil {

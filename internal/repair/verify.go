@@ -12,6 +12,7 @@ import (
 	"repro/internal/juniper"
 	"repro/internal/oracle"
 	"repro/internal/semdiff"
+	"repro/internal/symbolic"
 )
 
 // VerifyEquivalent checks that cfg1 and patched agree on every matched
@@ -27,7 +28,7 @@ func VerifyEquivalent(cfg1, patched *ir.Config, opts Options) error {
 	for _, pair := range matchPairs(cfg1, patched) {
 		rm1 := core.ResolveChain(cfg1, pair.Names1)
 		rm2 := core.ResolveChain(patched, pair.Names2)
-		enc := buildEncoding(f, opts, cfg1, patched)
+		enc := symbolic.NewRouteEncodingInto(f, cfg1, patched)
 		ds, err := semdiff.DiffRouteMapsLimit(enc, cfg1, rm1, patched, rm2, 1)
 		if err != nil {
 			return fmt.Errorf("pair %s: %w", pair, err)

@@ -49,7 +49,7 @@ var (
 // Options configures a Session.
 type Options struct {
 	// Diff carries the comparison and batch options every audit runs
-	// under (workers, reorder, GC, budgets, journal, metrics, run log).
+	// under (workers, budgets, journal, metrics, run log).
 	Diff campion.BatchOptions
 	// Store is the hash/report cache shared by all audits. Leave nil for
 	// a process-local in-memory store; pass an OpenFleetStore with

@@ -177,81 +177,3 @@ func TestACLRegionUnion(t *testing.T) {
 		}
 	}
 }
-
-// TestChooseRouteOrderDeterministic: repeated searches over the same
-// configurations return identical results, and any returned order is a
-// valid permutation of the encoding's variables.
-func TestChooseRouteOrderDeterministic(t *testing.T) {
-	c, j, _, _ := genPolicyPair(t, 7, 12)
-	o1, id1, best1 := ChooseRouteOrder(c, j)
-	o2, id2, best2 := ChooseRouteOrder(c, j)
-	if id1 != id2 || best1 != best2 || len(o1) != len(o2) {
-		t.Fatalf("search not deterministic: (%d,%d,%d) vs (%d,%d,%d)",
-			len(o1), id1, best1, len(o2), id2, best2)
-	}
-	for i := range o1 {
-		if o1[i] != o2[i] {
-			t.Fatalf("orders differ at %d", i)
-		}
-	}
-	if best1 > id1 {
-		t.Fatalf("winner scored worse than identity: %d > %d", best1, id1)
-	}
-	if o1 != nil {
-		e := NewRouteEncoding(c, j)
-		if len(o1) != e.NumVars() {
-			t.Fatalf("order length %d, want %d", len(o1), e.NumVars())
-		}
-		seen := make([]bool, len(o1))
-		for _, v := range o1 {
-			if v < 0 || v >= len(o1) || seen[v] {
-				t.Fatalf("not a permutation")
-			}
-			seen[v] = true
-		}
-		// The ordered constructor must accept the chosen order.
-		NewRouteEncodingIntoOrdered(nil, o1, c, j)
-	}
-}
-
-// TestRouteEncodingGC: collection preserves the encoding — recompiling a
-// clause guard from the reseated memo tables yields exactly the remapped
-// node — and reclaims the extra garbage.
-func TestRouteEncodingGC(t *testing.T) {
-	c, j, rm1, _ := genPolicyPair(t, 3, 10)
-	e := NewRouteEncoding(c, j)
-	var guards []bdd.Node
-	for _, cl := range rm1.Clauses {
-		guards = append(guards, e.ClauseGuardBDD(c, cl))
-	}
-	// Garbage: products that nothing roots.
-	for i := 1; i < len(guards); i++ {
-		e.F.And(guards[i-1], guards[i])
-	}
-	before := e.F.Stats()
-	keep := []bdd.Node{guards[0], guards[1]}
-	keep = e.GC(keep)
-	after := e.F.Stats()
-	if after.GCRuns != before.GCRuns+1 {
-		t.Fatalf("GCRuns = %d, want %d", after.GCRuns, before.GCRuns+1)
-	}
-	if after.GCReclaimed == before.GCReclaimed {
-		t.Fatal("nothing reclaimed")
-	}
-	// Recompiling on the compacted arena must reproduce the remapped
-	// guards exactly (hash-consing is canonical and the memo tables were
-	// reseated, so the rebuild takes the same path).
-	if g := e.ClauseGuardBDD(c, rm1.Clauses[0]); g != keep[0] {
-		t.Fatalf("clause 0 guard %d != remapped %d", g, keep[0])
-	}
-	if g := e.ClauseGuardBDD(c, rm1.Clauses[1]); g != keep[1] {
-		t.Fatalf("clause 1 guard %d != remapped %d", g, keep[1])
-	}
-	// WellFormed must still be a live, satisfiable constraint.
-	if e.WellFormed == bdd.False {
-		t.Fatal("WellFormed collapsed")
-	}
-	if got := e.F.AnySat(e.WellFormed); got == nil {
-		t.Fatal("WellFormed unsatisfiable after GC")
-	}
-}

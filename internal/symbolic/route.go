@@ -197,16 +197,6 @@ func VocabFingerprint(cfgs ...*ir.Config) string {
 // re-allocating the arena and op cache per pair. Nodes from before the
 // call are invalidated.
 func NewRouteEncodingInto(f *bdd.Factory, cfgs ...*ir.Config) *RouteEncoding {
-	return NewRouteEncodingIntoOrdered(f, nil, cfgs...)
-}
-
-// NewRouteEncodingIntoOrdered is NewRouteEncodingInto with an explicit
-// variable order (order[k] = variable at level k, as bdd.SetOrder): the
-// permutation is installed on the freshly reset factory before any node
-// is built. A nil order keeps the identity. Orders come from
-// ChooseRouteOrder over the same configurations, so the length always
-// matches the encoding's variable count.
-func NewRouteEncodingIntoOrdered(f *bdd.Factory, order []int, cfgs ...*ir.Config) *RouteEncoding {
 	v := gatherVocab(cfgs...)
 	comms := community.NewUniverse(v.literals, v.regexes)
 
@@ -263,9 +253,6 @@ func NewRouteEncodingIntoOrdered(f *bdd.Factory, order []int, cfgs ...*ir.Config
 	} else {
 		e.F = bdd.NewFactory(n)
 	}
-	if order != nil {
-		e.F.SetOrder(order)
-	}
 	e.prefixBits = bitVec{f: e.F, first: pb, width: 32}
 	e.prefixLen = bitVec{f: e.F, first: pl, width: 6}
 	e.nextHop = bitVec{f: e.F, first: nh, width: 32}
@@ -289,9 +276,8 @@ func (e *RouteEncoding) NumVars() int { return e.F.NumVars() }
 // buildWellFormed constructs the validity constraint described on
 // RouteEncoding over the already built PrefixUniverse. Every part is
 // built bottom-up, each step an Ite on one variable over parts
-// already built, so under the identity order a step adds one node and
-// the construction leaves next to no garbage (a permuted order only
-// makes the steps real Ite recursions). The blocks are conjoined
+// already built, so a step adds one node and the construction leaves
+// next to no garbage. The blocks are conjoined
 // lowest-first for the same reason: each And copies the block above
 // once onto the conjunction below it, where a top-down fold would copy
 // the growing conjunction again at every step.

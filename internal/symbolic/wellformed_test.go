@@ -9,7 +9,6 @@ import (
 	"repro/internal/cisco"
 	"repro/internal/ir"
 	"repro/internal/juniper"
-	"repro/internal/policygen"
 )
 
 // referenceWellFormed rebuilds WellFormed and its prefix conjunct on the
@@ -78,12 +77,10 @@ route-map ATOMS permit 80
  match community C1 C2 CX
 `
 
-// wellFormedCase is one encoding TestWellFormedMatchesReference builds:
-// a configuration set and a variable order (nil is the identity).
+// wellFormedCase is one encoding TestWellFormedMatchesReference builds.
 type wellFormedCase struct {
-	name  string
-	cfgs  []*ir.Config
-	order []int
+	name string
+	cfgs []*ir.Config
 }
 
 // goldenCases parses every golden-corpus pair (a.cfg is IOS, b.cfg
@@ -125,8 +122,7 @@ func goldenCases(t *testing.T) []wellFormedCase {
 
 // TestWellFormedMatchesReference: the linear construction yields the
 // very node the original fold yields, and PrefixUniverse is WellFormed
-// with every non-prefix variable quantified out — before and after GC
-// reseats both.
+// with every non-prefix variable quantified out.
 func TestWellFormedMatchesReference(t *testing.T) {
 	atoms, err := cisco.Parse("atoms.cfg", atomVocabulary)
 	if err != nil {
@@ -135,54 +131,25 @@ func TestWellFormedMatchesReference(t *testing.T) {
 	if e := NewRouteEncoding(atoms); len(e.medVals) < 3 || len(e.tagVals) < 3 || len(e.asAtoms) < 3 {
 		t.Fatalf("atom vocabulary too small: %v", e)
 	}
-	gen := policygen.Generate(policygen.Params{Seed: 3, Clauses: 300, Differences: 5})
-	genC, err := cisco.Parse("c.cfg", gen.CiscoText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genJ, err := juniper.Parse("j.cfg", gen.JuniperText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searched, _, _ := ChooseRouteOrder(genC, genJ)
-	if searched == nil {
-		t.Fatal("order search kept the identity; the permuted case needs another input")
-	}
-	reversed := func(cfgs ...*ir.Config) []int {
-		n := NewRouteEncoding(cfgs...).NumVars()
-		order := make([]int, n)
-		for i := range order {
-			order[i] = n - 1 - i
-		}
-		return order
-	}
 
 	tests := append([]wellFormedCase{
 		{name: "atoms", cfgs: []*ir.Config{atoms}},
-		{name: "atoms/reversed-order", cfgs: []*ir.Config{atoms}, order: reversed(atoms)},
-		{name: "genpol300/searched-order", cfgs: []*ir.Config{genC, genJ}, order: searched},
 		{name: "no-configs"},
 	}, goldenCases(t)...)
 
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e := NewRouteEncodingIntoOrdered(nil, tt.order, tt.cfgs...)
-			check := func(stage string) {
-				t.Helper()
-				wf, prefixOK := referenceWellFormed(e)
-				if e.WellFormed != wf {
-					t.Errorf("%s: WellFormed is node %d, reference fold gives %d", stage, e.WellFormed, wf)
-				}
-				if e.PrefixUniverse != prefixOK {
-					t.Errorf("%s: PrefixUniverse is node %d, reference fold gives %d", stage, e.PrefixUniverse, prefixOK)
-				}
-				if got := e.F.Exists(e.WellFormed, e.NonPrefixVars()); got != e.PrefixUniverse {
-					t.Errorf("%s: Exists(WellFormed, NonPrefixVars) is node %d, PrefixUniverse %d", stage, got, e.PrefixUniverse)
-				}
+			e := NewRouteEncoding(tt.cfgs...)
+			wf, prefixOK := referenceWellFormed(e)
+			if e.WellFormed != wf {
+				t.Errorf("WellFormed is node %d, reference fold gives %d", e.WellFormed, wf)
 			}
-			check("built")
-			e.GC(nil)
-			check("after GC")
+			if e.PrefixUniverse != prefixOK {
+				t.Errorf("PrefixUniverse is node %d, reference fold gives %d", e.PrefixUniverse, prefixOK)
+			}
+			if got := e.F.Exists(e.WellFormed, e.NonPrefixVars()); got != e.PrefixUniverse {
+				t.Errorf("Exists(WellFormed, NonPrefixVars) is node %d, PrefixUniverse %d", got, e.PrefixUniverse)
+			}
 		})
 	}
 }

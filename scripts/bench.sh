@@ -17,7 +17,7 @@ out="BENCH_${date}.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkParallelRouteMapDiff|BenchmarkDiffBatch|BenchmarkFullPairDiff|BenchmarkDiffAllFleet|BenchmarkDiffObservability|BenchmarkSemanticDiffRouteMap300|BenchmarkSemanticDiffRouteMap10000|BenchmarkRouteMapOrderSearch|BenchmarkRouteEncodingBuild|BenchmarkIntraPairACL10000|BenchmarkFleetAudit|BenchmarkRepairFigure1' \
+go test -run '^$' -bench 'BenchmarkParallelRouteMapDiff|BenchmarkDiffBatch|BenchmarkFullPairDiff|BenchmarkDiffAllFleet|BenchmarkDiffObservability|BenchmarkSemanticDiffRouteMap300|BenchmarkSemanticDiffRouteMap10000|BenchmarkRouteEncodingBuild|BenchmarkIntraPairACL10000|BenchmarkFleetAudit|BenchmarkRepairFigure1' \
     -benchmem -benchtime "${BENCHTIME:-2s}" "$@" . | tee "$raw"
 
 awk -v date="$date" '
@@ -40,21 +40,15 @@ BEGIN { n = 0 }
     if (match(name, /\//)) {
         subcase = substr(name, RSTART + 1)
     }
-    bytes = ""; allocs = ""; idnodes = ""; bestnodes = ""
+    bytes = ""; allocs = ""
     for (i = 4; i <= NF; i++) {
         if ($(i) == "B/op") bytes = $(i - 1)
         if ($(i) == "allocs/op") allocs = $(i - 1)
-        # ordering-comparison row: BenchmarkRouteMapOrderSearch reports
-        # arena sizes under the identity order vs the search winner
-        if ($(i) == "identity-nodes/op") idnodes = $(i - 1)
-        if ($(i) == "best-nodes/op") bestnodes = $(i - 1)
     }
     line = sprintf("    {\"name\": \"%s\", \"case\": \"%s\", \"workers\": %d, \"iterations\": %s, \"ns_per_op\": %s", \
                    name, subcase, workers, iters, nsop)
     if (bytes != "")  line = line sprintf(", \"bytes_per_op\": %s", bytes)
     if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
-    if (idnodes != "")   line = line sprintf(", \"identity_nodes\": %s", idnodes)
-    if (bestnodes != "") line = line sprintf(", \"best_nodes\": %s", bestnodes)
     line = line "}"
     results[n++] = line
 }
