@@ -118,7 +118,7 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 	for i := range jobs {
 		jobs[i] = [2]int{i, -1}
 	}
-	results, _, err := diffBatch(ctx, pairs, jobs, opts)
+	results, _, _, err := diffBatch(ctx, pairs, jobs, opts, nil)
 	return results, err
 }
 
@@ -130,7 +130,12 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 // mirrored[m] reports that pair m's report came from a joint pass; its
 // journal pair event carries Op "mirror". Every pair appears in exactly
 // one job.
-func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts BatchOptions) (results []BatchResult, mirrored []bool, err error) {
+//
+// memo, when non-nil, is the store whose component memo the pairs'
+// diffs consult (see memo.go); with opts.CacheDir set, the store opened
+// there serves instead. comps counts each successful pair's semantic
+// components, recalled or computed.
+func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts BatchOptions, memo *fleet.Store) (results []BatchResult, mirrored []bool, comps componentCounts, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -144,7 +149,7 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 		workers = len(jobList)
 	}
 	if len(pairs) == 0 {
-		return results, mirrored, ctx.Err()
+		return results, mirrored, comps, ctx.Err()
 	}
 	inner := opts.Options
 	if inner.Workers == 0 {
@@ -166,10 +171,16 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 	if opts.CacheDir != "" {
 		var err error
 		if fstore, err = fleet.OpenStore(opts.CacheDir); err != nil {
-			return nil, nil, err
+			return nil, nil, comps, err
 		}
-		optsFP = fleet.OptionsFingerprint(inner)
+		memo = fstore
 	}
+	var cm *componentMemo
+	if memo != nil {
+		optsFP = fleet.OptionsFingerprint(inner)
+		cm = &componentMemo{store: memo, optsFP: optsFP}
+	}
+	var compsMu sync.Mutex
 
 	runName := opts.RunName
 	if runName == "" {
@@ -205,12 +216,19 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 				defer inner.PolicyCache.Release()
 			}
 			var hasher *fleet.Hasher
+			defer func() { fleet.PutHasher(hasher) }()
+			var counts componentCounts
+			defer func() {
+				compsMu.Lock()
+				comps.add(counts)
+				compsMu.Unlock()
+			}()
 			hashFor := func(cfg *Config) string {
 				if h, ok := hashMemo.Load(cfg); ok {
 					return h.(string)
 				}
 				if hasher == nil {
-					hasher = fleet.NewHasher()
+					hasher = fleet.GetHasher()
 				}
 				h, _ := hasher.DeviceHash(cfg)
 				actual, _ := hashMemo.LoadOrStore(cfg, h)
@@ -221,9 +239,10 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 				wsp = bsp.Child("worker", obs.Int("worker", w))
 			}
 			// diffPair computes pair i's result, from the store when it
-			// holds one ("cached"). A non-nil rev asks for a joint pass,
-			// which leaves the reverse report there.
-			diffPair := func(i int, inner core.Options, rev **Report) (BatchResult, string) {
+			// holds one ("cached"). A non-nil rev asks for a joint pass
+			// with the pair named mirror, which leaves the reverse report
+			// there.
+			diffPair := func(i int, inner core.Options, rev **Report, mirror string) (BatchResult, string) {
 				p := pairs[i]
 				res := BatchResult{Name: p.Name}
 				switch {
@@ -241,10 +260,12 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 							return res, "cached"
 						}
 					}
+					var back *Report
+					var n componentCounts
+					res.Report, back, n, res.Err = cm.diff(ctx, p.Config1, p.Config2, inner, rev != nil, mirror)
+					counts.add(n)
 					if rev != nil {
-						res.Report, *rev, res.Err = core.DiffBoth(ctx, p.Config1, p.Config2, inner)
-					} else {
-						res.Report, res.Err = DiffContext(ctx, p.Config1, p.Config2, inner)
+						*rev = back
 					}
 					if fstore != nil && res.Err == nil {
 						fstore.PutReport(h1, h2, optsFP, res.Report)
@@ -309,14 +330,14 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 				var rev *Report
 				record(i, func(inner core.Options) (BatchResult, string) {
 					if m < 0 {
-						return diffPair(i, inner, nil)
+						return diffPair(i, inner, nil, "")
 					}
-					return diffPair(i, inner, &rev)
+					return diffPair(i, inner, &rev, pairs[m].Name)
 				})
 				if m >= 0 {
 					record(m, func(inner core.Options) (BatchResult, string) {
 						if rev == nil {
-							return diffPair(m, inner, nil)
+							return diffPair(m, inner, nil, "")
 						}
 						mirrored[m] = true
 						p := pairs[m]
@@ -372,7 +393,7 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-	return results, mirrored, batchCtxErr(ctx)
+	return results, mirrored, comps, batchCtxErr(ctx)
 }
 
 // DiffAll compares every unordered pair of the given configurations —

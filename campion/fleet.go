@@ -109,6 +109,13 @@ type FleetStats struct {
 	// joint pass of their mirror: when both (a, b) and (b, a) are missing,
 	// one core.DiffBoth pass yields both. It is a subset of RepComputed.
 	RepMirrored int
+	// ComponentsRecalled and ComponentsComputed split the semantic
+	// components (route-maps, ACLs) of the computed rep pairs that
+	// succeeded: served from the store's component memo, or compared by
+	// core. Each counts per rep pair and per component, so a joint pass
+	// that computes a component for both orientations counts it twice.
+	// Without a store nothing is recalled.
+	ComponentsRecalled, ComponentsComputed int
 	// ExpandedPairs is the number of member pairs the results cover —
 	// the naive all-pairs count.
 	ExpandedPairs int
@@ -312,6 +319,7 @@ func resolveDevices(ctx context.Context, r *FleetResult, store *fleet.Store, opt
 		go func() {
 			defer wg.Done()
 			var hasher *fleet.Hasher
+			defer func() { fleet.PutHasher(hasher) }()
 			for i := range jobs {
 				d := &r.Devices[i]
 				if batchCtxErr(ctx) != nil {
@@ -359,7 +367,7 @@ func resolveDevices(ctx context.Context, r *FleetResult, store *fleet.Store, opt
 						continue
 					}
 					if hasher == nil {
-						hasher = fleet.NewHasher()
+						hasher = fleet.GetHasher()
 					}
 					hash, fallback := hasher.DeviceHash(cfg)
 					d.Hash = hash
@@ -601,7 +609,8 @@ func diffRepresentatives(ctx context.Context, r *FleetResult, store *fleet.Store
 			userOnResult(n, res)
 		}
 	}
-	results, mirrored, err := diffBatch(ctx, live, jobs, batch)
+	results, mirrored, comps, err := diffBatch(ctx, live, jobs, batch, store)
+	r.Stats.ComponentsRecalled, r.Stats.ComponentsComputed = comps.recalled, comps.computed
 	for n, res := range results {
 		key := liveKey[n]
 		if res.Err != nil {

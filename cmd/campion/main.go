@@ -664,8 +664,9 @@ func printFleetStats(s campion.FleetStats) {
 	fmt.Fprintf(os.Stderr, "--- fleet ---\n")
 	fmt.Fprintf(os.Stderr, "devices: %d (%d failed), classes: %d, hash fallbacks: %d\n",
 		s.Devices, s.Failed, s.Classes, s.HashFallbacks)
-	fmt.Fprintf(os.Stderr, "pairs: %d expanded from %d representative pairs (%d computed, %d of them mirrored, %d from cache)\n",
-		s.ExpandedPairs, s.RepPairs, s.RepComputed, s.RepMirrored, s.Cache.ReportHits)
+	fmt.Fprintf(os.Stderr, "pairs: %d expanded from %d representative pairs (%d computed, %d of them mirrored, %d from cache; components: %d recalled, %d computed)\n",
+		s.ExpandedPairs, s.RepPairs, s.RepComputed, s.RepMirrored, s.Cache.ReportHits,
+		s.ComponentsRecalled, s.ComponentsComputed)
 	fmt.Fprintf(os.Stderr, "parses avoided: %d, cache: %d/%d report hits/misses, %d/%d hash hits/misses, %d evicted, %d corrupt\n",
 		s.ParsesAvoided, s.Cache.ReportHits, s.Cache.ReportMisses,
 		s.Cache.HashHits, s.Cache.HashMisses, s.Cache.Evictions, s.Cache.Corrupt)

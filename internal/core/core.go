@@ -809,6 +809,9 @@ func diffACLs(ctx context.Context, rep *Report, mir *mirror, c1, c2 *ir.Config, 
 	sort.Strings(shared)
 	sort.Strings(rep.UnmatchedACLs1)
 	sort.Strings(rep.UnmatchedACLs2)
+	if mir != nil {
+		mir.rep.UnmatchedACLs1, mir.rep.UnmatchedACLs2 = rep.UnmatchedACLs2, rep.UnmatchedACLs1
+	}
 	stats.Pairs = len(shared)
 	stats.UniquePairs = len(shared)
 	if len(shared) == 0 {
@@ -947,7 +950,7 @@ func diffACLs(ctx context.Context, rep *Report, mir *mirror, c1, c2 *ir.Config, 
 		}
 	}
 	if mir != nil {
-		mirrorACLs(mir.rep, rep, perName, perKeys)
+		mirrorACLs(mir.rep, perName, perKeys)
 	}
 	return nil
 }
@@ -955,9 +958,9 @@ func diffACLs(ctx context.Context, rep *Report, mir *mirror, c1, c2 *ir.Config, 
 // mirrorACLs assembles the (c2, c1) ACL differences: the same shared
 // names and regions, each ACL's differences with the sides exchanged and
 // put in (key2, key1) order — the order a (c2, c1) run's class product
-// emits them — and the unmatched-name lists swapped.
-func mirrorACLs(rev, rep *Report, perName [][]ACLPairDiff, perKeys [][][2]int) {
-	rev.UnmatchedACLs1, rev.UnmatchedACLs2 = rep.UnmatchedACLs2, rep.UnmatchedACLs1
+// emits them. (diffACLs swaps the unmatched-name lists itself, since
+// they exist even when no name is shared.)
+func mirrorACLs(rev *Report, perName [][]ACLPairDiff, perKeys [][][2]int) {
 	for i, ds := range perName {
 		keys := perKeys[i]
 		order := make([]int, len(ds))

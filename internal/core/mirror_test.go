@@ -29,6 +29,11 @@ func TestDiffBothMatchesLoneDiffs(t *testing.T) {
 	}
 	f1, f2 := syntheticFleetPair(t, 4, 3)
 	pairs = append(pairs, pair{"fleet", f1, f2})
+	// No shared ACL name: the unmatched lists must still swap.
+	u1, u2 := ir.NewConfig("u1", ir.VendorCisco), ir.NewConfig("u2", ir.VendorCisco)
+	u1.ACLs["ONLY-1"] = &ir.ACL{Name: "ONLY-1"}
+	u2.ACLs["ONLY-2"] = &ir.ACL{Name: "ONLY-2"}
+	pairs = append(pairs, pair{"unmatched-acls", u1, u2})
 
 	modes := map[string]func() Options{
 		"sequential":  func() Options { return Options{Workers: 1} },

@@ -78,6 +78,7 @@ func renderReport(rep *Report) string {
 	for _, d := range rep.Structural {
 		b.WriteString(d.String() + "\n")
 	}
+	fmt.Fprintf(&b, "unmatched %q %q\n", rep.UnmatchedACLs1, rep.UnmatchedACLs2)
 	return b.String()
 }
 

@@ -63,6 +63,13 @@ const entryMagic = "campion-cache"
 // identity), but the memo is not bounded by the live fleet: a daemon's
 // memo grows with every fresh edit, by about 3.1 MB each on a 200-device
 // fleet. ROADMAP.md's open item on bounding daemon memory tracks the fix.
+//
+// Every Store, disk-backed or not, also keeps a component memo
+// (GetComponent / PutComponent): the results of single semantic
+// components, keyed by the options fingerprint and the two sides'
+// component digests. Component entries live in memory only and are
+// never dropped either, so they grow with distinct policy contents the
+// same way reports grow with distinct classes.
 type Store struct {
 	dir        string // <root>/v1; "" for a memory-only store
 	maxReports int64
@@ -77,6 +84,10 @@ type Store struct {
 	// between callers (RespanReport copies). Disk entries are JSON, and
 	// an entry JSON cannot carry faithfully is never written.
 	memo *sync.Map
+
+	// components is the component memo: componentKey → *core.Report
+	// holding one component's fields (see PutComponent).
+	components sync.Map
 
 	reportHits, reportMisses atomic.Uint64
 	hashHits, hashMisses     atomic.Uint64
@@ -334,6 +345,31 @@ func (s *Store) PutReport(hash1, hash2, optsFP string, rep *core.Report) {
 	if max := atomic.LoadInt64(&s.maxReports); max > 0 && s.reportPuts.Add(1)%32 == 0 {
 		s.evictReports(int(max))
 	}
+}
+
+// componentKey is the component memo key of one ordered side pair.
+func componentKey(c core.Component, optsFP, digest1, digest2 string) string {
+	return string(c) + "\x00" + optsFP + "\x00" + digest1 + "\x00" + digest2
+}
+
+// GetComponent looks up the memoized part of component c for a pair
+// whose sides have the given component digests (the ComponentDigests
+// field for c), under the options fingerprint. The part is shared and
+// read-only: retarget it with RespanReport.
+func (s *Store) GetComponent(c core.Component, optsFP, digest1, digest2 string) (*core.Report, bool) {
+	v, ok := s.components.Load(componentKey(c, optsFP, digest1, digest2))
+	if !ok {
+		return nil, false
+	}
+	return v.(*core.Report), true
+}
+
+// PutComponent memoizes part, a report holding only component c's
+// fields as a successful diff of a pair with the given digests produced
+// them. The store keeps part itself: the caller must not mutate it or
+// the slices it shares. The entry lives in memory only.
+func (s *Store) PutComponent(c core.Component, optsFP, digest1, digest2 string, part *core.Report) {
+	s.components.Store(componentKey(c, optsFP, digest1, digest2), part)
 }
 
 // EvictNow applies the report bound immediately (tests and shutdown).

@@ -39,8 +39,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/bdd"
 	"repro/internal/headerloc"
@@ -73,6 +73,29 @@ type Hasher struct {
 	penc *symbolic.PacketEncoding
 }
 
+// hasherPool recycles Hashers across audits. Building one (two arenas
+// and the route encoding's WellFormed constraint) costs about as much as
+// hashing a whole device, and a daemon write would otherwise pay it once
+// per hashing worker.
+var hasherPool sync.Pool
+
+// GetHasher returns a pooled Hasher, or a fresh one on a cold pool. Hand
+// it back with PutHasher when done; a pooled Hasher hashes exactly as a
+// fresh one does.
+func GetHasher() *Hasher {
+	if h, ok := hasherPool.Get().(*Hasher); ok {
+		return h
+	}
+	return NewHasher()
+}
+
+// PutHasher returns h to the pool; the caller must not use it again.
+func PutHasher(h *Hasher) {
+	if h != nil {
+		hasherPool.Put(h)
+	}
+}
+
 // NewHasher returns a Hasher with fresh encodings. The route encoding is
 // built with no configurations: only the vocabulary-independent prefix,
 // length, and next-hop variables are ever compiled on it, and those
@@ -91,9 +114,11 @@ func (h *Hasher) rebuild() {
 	h.penc.F.SetInterrupt(hashNodeBudget, func() error { return nil })
 }
 
-// DeviceHash is a one-shot convenience over a throwaway Hasher.
+// DeviceHash is a one-shot convenience over a pooled Hasher.
 func DeviceHash(cfg *ir.Config) (string, bool) {
-	return NewHasher().DeviceHash(cfg)
+	h := GetHasher()
+	defer PutHasher(h)
+	return h.DeviceHash(cfg)
 }
 
 // DeviceHash returns the semantic content-address of cfg and whether the
@@ -104,6 +129,13 @@ func (h *Hasher) DeviceHash(cfg *ir.Config) (string, bool) {
 	if h.renc.F.Stats().Nodes > resetNodeThreshold {
 		h.rebuild()
 	}
+	// The encodings' memo tables key on cfg's IR pointers, which no other
+	// device shares: empty them once cfg is hashed, so neither a worker
+	// nor the pool keeps a hashed configuration alive.
+	defer func() {
+		h.renc.ForgetConfigs()
+		h.penc.ForgetLines()
+	}()
 	if sum, ok := h.tryHash(cfg, true); ok {
 		return sum, false
 	}
@@ -128,16 +160,26 @@ func (h *Hasher) tryHash(cfg *ir.Config, semantic bool) (sum string, ok bool) {
 			panic(r)
 		}
 	}()
-	w := &hw{h: sha256.New()}
+	w := newHW()
 	w.str(hashVersion)
 	if semantic {
-		w.h.Write([]byte{'S'})
+		w.byte('S')
 	} else {
-		w.h.Write([]byte{'I'})
+		w.byte('I')
 	}
 	// The counterpart-facing vocabulary this device contributes: every
 	// community literal/regex, as-path regex, and MED/tag constant it
 	// would add to a pair encoding.
+	hashVocabulary(w, cfg)
+	h.hashRouteMaps(w, cfg, semantic)
+	h.hashACLs(w, cfg, semantic)
+	hashStructural(w, cfg)
+	return w.sum(), true
+}
+
+// hashVocabulary pins the vocabularies a device contributes to a pair's
+// route-map comparison beyond its policies' own text, and its dialect.
+func hashVocabulary(w *hw, cfg *ir.Config) {
 	w.str(symbolic.VocabFingerprint(cfg))
 	// The ddNF presentation vocabulary: HeaderLocalize's output terms are
 	// built over the prefix ranges mentioned by BOTH configs of a pair,
@@ -150,10 +192,81 @@ func (h *Hasher) tryHash(cfg *ir.Config, semantic bool) (sum string, ok bool) {
 		w.prefixRange(r)
 	}
 	w.u64(uint64(cfg.Vendor))
-	h.hashRouteMaps(w, cfg, semantic)
-	h.hashACLs(w, cfg, semantic)
-	hashStructural(w, cfg)
-	return hex.EncodeToString(w.h.Sum(nil)), true
+}
+
+// componentVersion is mixed into every component digest; bump it
+// whenever the serialization below changes.
+const componentVersion = "campion-component-digest-v1"
+
+// ComponentDigests key one side of the component memo (Store's
+// GetComponent): for each semantic component, a digest of exactly the IR
+// that component reads of this configuration. Two configurations with
+// equal digests yield the same component result against any counterpart,
+// modulo the span files RespanReport rewrites.
+type ComponentDigests struct {
+	// RouteMaps covers the route-map component: the vocabularies
+	// (hashVocabulary), every route map with its clause spans and the
+	// contents of the lists it references, and the policy bindings
+	// core.MatchPolicies pairs up.
+	RouteMaps string
+	// ACLs covers the ACL component: every ACL's name, lines and spans.
+	ACLs string
+}
+
+// Digests computes cfg's component digests. They are intensional, built
+// from DeviceHash's fallback serializers, so they compile no BDD: two
+// policies that match the same routes but are written differently get
+// different digests, which costs a recomputation, never a wrong report.
+// Each digest records whether cfg.File is empty, because RespanReport
+// keeps an empty span file empty: a result computed for a configuration
+// with no file name must not be served to one with a name.
+func Digests(cfg *ir.Config) ComponentDigests {
+	var h Hasher // the fallback serializers compile nothing, so need no encodings
+	start := func(component string) *hw {
+		w := newHW()
+		w.str(componentVersion)
+		w.str(component)
+		w.b(cfg.File == "")
+		return w
+	}
+	w := start("route-maps")
+	hashVocabulary(w, cfg)
+	h.hashRouteMaps(w, cfg, false)
+	hashPolicyBindings(w, cfg)
+	rm := w.sum()
+	w = start("acls")
+	h.hashACLs(w, cfg, false)
+	return ComponentDigests{RouteMaps: rm, ACLs: w.sum()}
+}
+
+// hashPolicyBindings pins what core.MatchPolicies reads to pair up
+// policies: BGP and OSPF presence, each BGP neighbor address with its
+// import and export chains, and each redistribution's source protocol
+// and route map.
+func hashPolicyBindings(w *hw, cfg *ir.Config) {
+	redistributions := func(rs []ir.Redistribution) {
+		w.u64(uint64(len(rs)))
+		for _, r := range rs {
+			w.u64(uint64(r.From))
+			w.str(r.RouteMap)
+		}
+	}
+	w.b(cfg.BGP != nil)
+	if b := cfg.BGP; b != nil {
+		addrs := b.NeighborAddrs()
+		w.u64(uint64(len(addrs)))
+		for _, a := range addrs {
+			n := b.Neighbors[a]
+			w.str(a)
+			w.strs(n.ImportPolicies)
+			w.strs(n.ExportPolicies)
+		}
+		redistributions(b.Redistribute)
+	}
+	w.b(cfg.OSPF != nil)
+	if o := cfg.OSPF; o != nil {
+		redistributions(o.Redistribute)
+	}
 }
 
 func (h *Hasher) hashRouteMaps(w *hw, cfg *ir.Config, semantic bool) {
@@ -193,11 +306,11 @@ func (h *Hasher) hashMatch(w *hw, cfg *ir.Config, m ir.Match, semantic bool) {
 	case ir.MatchPrefixList, ir.MatchPrefixRanges, ir.MatchPrefixListFilter, ir.MatchNextHop:
 		w.str(m.String())
 		if semantic {
-			w.h.Write([]byte{'B'})
+			w.byte('B')
 			writeDAG(w, h.renc.F, h.renc.MatchBDD(cfg, m))
 			return
 		}
-		w.h.Write([]byte{'i'})
+		w.byte('i')
 		switch m := m.(type) {
 		case ir.MatchPrefixList:
 			for _, name := range m.Lists {
@@ -242,7 +355,7 @@ func hashSet(w *hw, cfg *ir.Config, s ir.SetAction) {
 
 func hashPrefixList(w *hw, l *ir.PrefixList) {
 	if l == nil {
-		w.h.Write([]byte{0})
+		w.byte(0)
 		return
 	}
 	w.u64(uint64(len(l.Entries)))
@@ -254,7 +367,7 @@ func hashPrefixList(w *hw, l *ir.PrefixList) {
 
 func hashCommunityList(w *hw, l *ir.CommunityList) {
 	if l == nil {
-		w.h.Write([]byte{0})
+		w.byte(0)
 		return
 	}
 	w.u64(uint64(len(l.Entries)))
@@ -270,7 +383,7 @@ func hashCommunityList(w *hw, l *ir.CommunityList) {
 
 func hashASPathList(w *hw, l *ir.ASPathList) {
 	if l == nil {
-		w.h.Write([]byte{0})
+		w.byte(0)
 		return
 	}
 	w.u64(uint64(len(l.Entries)))
@@ -296,11 +409,11 @@ func (h *Hasher) hashACLs(w *hw, cfg *ir.Config, semantic bool) {
 				// The packet encoding has no vocabulary at all — a fixed
 				// 5-tuple+flags variable layout — so a line's BDD is
 				// canonical across every device.
-				w.h.Write([]byte{'B'})
+				w.byte('B')
 				writeDAG(w, h.penc.F, h.penc.LineBDD(l))
 				continue
 			}
-			w.h.Write([]byte{'i'})
+			w.byte('i')
 			w.str(l.Protocol.String())
 			w.u64(uint64(len(l.Src)))
 			for _, wc := range l.Src {
@@ -470,30 +583,58 @@ func writeDAG(w *hw, f *bdd.Factory, root bdd.Node) {
 	w.u64(ref)
 }
 
-// hw is a minimal length-prefixed binary writer over a running hash.
+// hw is a minimal length-prefixed binary writer over a running SHA-256.
+// Its writes are a few bytes each, so it gathers them in buf and feeds
+// the hash in large chunks: per-call hash overhead would otherwise
+// dominate.
 type hw struct {
 	h   hash.Hash
-	buf [binary.MaxVarintLen64]byte
+	buf []byte
+}
+
+// hwChunk is the size at which hw flushes its buffer into the hash.
+const hwChunk = 4096
+
+func newHW() *hw { return &hw{h: sha256.New(), buf: make([]byte, 0, hwChunk+64)} }
+
+func (w *hw) flushFull() {
+	if len(w.buf) >= hwChunk {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+// sum is the hex digest of everything written.
+func (w *hw) sum() string {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+func (w *hw) byte(c byte) {
+	w.buf = append(w.buf, c)
+	w.flushFull()
 }
 
 func (w *hw) u64(v uint64) {
-	n := binary.PutUvarint(w.buf[:], v)
-	w.h.Write(w.buf[:n])
+	w.buf = binary.AppendUvarint(w.buf, v)
+	w.flushFull()
 }
 
 func (w *hw) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *hw) b(v bool) {
 	if v {
-		w.h.Write([]byte{1})
+		w.byte(1)
 	} else {
-		w.h.Write([]byte{0})
+		w.byte(0)
 	}
 }
 
 func (w *hw) str(s string) {
 	w.u64(uint64(len(s)))
-	io.WriteString(w.h, s)
+	w.buf = append(w.buf, s...)
+	w.flushFull()
 }
 
 func (w *hw) strs(ss []string) {

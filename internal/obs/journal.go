@@ -63,8 +63,9 @@ type Event struct {
 	// (report / hash), component events the check kind.
 	Kind string `json:"kind,omitempty"`
 	// Op qualifies cache events (hit / miss / evict / corrupt) and marks
-	// cache-served pair events ("cached") and pair events whose report
-	// came from the joint pass of the mirrored pair ("mirror").
+	// cache-served pair events ("cached"), pair events whose report came
+	// from the joint pass of the mirrored pair ("mirror"), and component
+	// events recalled from the component memo ("cached").
 	Op string `json:"op,omitempty"`
 	// Dur is the event's duration in nanoseconds.
 	Dur int64 `json:"dur_ns,omitempty"`
@@ -96,7 +97,7 @@ const (
 	EvCluster    = "cluster"       // N classes over Total devices
 	EvClass      = "class"         // Class (1-based), Device representative, N members
 	EvPair       = "pair"          // Pair, Dur, Diffs, Nodes, Op "cached" when served from cache or "mirror" from a joint pass, Err kind
-	EvComponent  = "component"     // Pair, Component, Kind, Dur, Nodes
+	EvComponent  = "component"     // Pair, Component, Kind, Dur, Nodes; Op "cached" (no Dur, no Nodes) when recalled from the component memo
 	EvCache      = "cache"         // Op hit|miss|evict|corrupt, Kind report|hash
 	EvExpand     = "expand"        // N member pairs expanded, Dur
 	EvCheck      = "metrics_check" // end-of-run consistency check, Detail per-counter verdicts

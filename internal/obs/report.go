@@ -35,11 +35,14 @@ type PairProfile struct {
 }
 
 // ComponentProfile aggregates the per-component events across all pairs.
+// Count tallies the checks that ran, Recalled the ones served from the
+// component memo (component events with Op "cached").
 type ComponentProfile struct {
-	Name  string
-	Dur   time.Duration
-	Nodes int64
-	Count int64
+	Name     string
+	Dur      time.Duration
+	Nodes    int64
+	Count    int64
+	Recalled int64
 }
 
 // CacheProfile tallies one cache entry kind's traffic.
@@ -221,6 +224,10 @@ func AnalyzeJournal(events []Event) *JournalAnalysis {
 			compIdx[e.Component] = i
 			a.Components = append(a.Components, ComponentProfile{Name: e.Component})
 		}
+		if e.Op == "cached" {
+			a.Components[i].Recalled++
+			continue
+		}
 		a.Components[i].Dur += time.Duration(e.Dur)
 		a.Components[i].Nodes += e.Nodes
 		a.Components[i].Count++
@@ -359,7 +366,11 @@ func (a *JournalAnalysis) WriteText(w io.Writer, topN int) error {
 			if total > 0 {
 				pct = int64(c.Dur) * 100 / int64(total)
 			}
-			p("  %-12s %10s  %3d%%  %8d nodes  %d checks\n", c.Name, rdur(c.Dur), pct, c.Nodes, c.Count)
+			recalled := ""
+			if c.Recalled > 0 {
+				recalled = fmt.Sprintf(", %d recalled", c.Recalled)
+			}
+			p("  %-12s %10s  %3d%%  %8d nodes  %d checks%s\n", c.Name, rdur(c.Dur), pct, c.Nodes, c.Count, recalled)
 		}
 	}
 

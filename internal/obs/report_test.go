@@ -185,3 +185,30 @@ func TestTraceLanePacking(t *testing.T) {
 		t.Fatalf("pair c should reuse the freed lane: %v", tid)
 	}
 }
+
+// TestAnalyzeJournalRecalledComponents: component events recalled from
+// the component memo (Op "cached") count apart from the checks that ran
+// and add no time or nodes.
+func TestAnalyzeJournalRecalledComponents(t *testing.T) {
+	a := AnalyzeJournal([]Event{
+		{Seq: 1, T: 100, Type: EvComponent, Pair: "r1 vs r2", Component: "route-maps",
+			Kind: "SemanticDiff", Dur: 90, Nodes: 40},
+		{Seq: 2, T: 110, Type: EvComponent, Pair: "r1 vs r3", Component: "route-maps",
+			Kind: "SemanticDiff", Op: "cached"},
+		{Seq: 3, T: 120, Type: EvComponent, Pair: "r3 vs r1", Component: "route-maps",
+			Kind: "SemanticDiff", Op: "cached"},
+	})
+	if len(a.Components) != 1 {
+		t.Fatalf("components: %+v", a.Components)
+	}
+	if c := a.Components[0]; c.Count != 1 || c.Recalled != 2 || c.Dur != 90 || c.Nodes != 40 {
+		t.Fatalf("route-maps profile %+v, want 1 check of 90ns and 40 nodes, 2 recalled", c)
+	}
+	var b bytes.Buffer
+	if err := a.WriteText(&b, 5); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "1 checks, 2 recalled") {
+		t.Fatalf("summary does not show the recalled checks:\n%s", b.String())
+	}
+}

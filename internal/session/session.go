@@ -156,6 +156,11 @@ type AuditStats struct {
 	RepComputed int   `json:"rep_computed"`
 	RepMirrored int   `json:"rep_mirrored"` // of RepComputed, from a mirror's joint pass
 	DurNS       int64 `json:"dur_ns"`
+	// ComponentsRecalled and ComponentsComputed split the computed rep
+	// pairs' semantic components between the store's component memo and
+	// core (campion.FleetStats).
+	ComponentsRecalled int `json:"components_recalled"`
+	ComponentsComputed int `json:"components_computed"`
 }
 
 // RediffRatio is the fraction of needed representative pairs this audit
@@ -329,6 +334,7 @@ func (s *Session) auditLocked(ctx context.Context) (AuditStats, error) {
 		Devices: fr.Stats.Devices, Failed: fr.Stats.Failed,
 		Classes: fr.Stats.Classes, RepPairs: fr.Stats.RepPairs,
 		RepComputed: fr.Stats.RepComputed, RepMirrored: fr.Stats.RepMirrored,
+		ComponentsRecalled: fr.Stats.ComponentsRecalled, ComponentsComputed: fr.Stats.ComponentsComputed,
 		DurNS: int64(time.Since(start)),
 	}
 

@@ -132,6 +132,10 @@ func (e *PacketEncoding) portSetBDD(v bitVec, rs []netaddr.PortRange) bdd.Node {
 	return out
 }
 
+// ForgetLines empties the per-line BDD cache, whose *ir.ACLLine keys
+// would otherwise keep every compiled configuration alive.
+func (e *PacketEncoding) ForgetLines() { clear(e.lineCache) }
+
 // LineBDD compiles one ACL line's match condition. Results are cached per
 // line, since path enumeration consults each line twice.
 func (e *PacketEncoding) LineBDD(l *ir.ACLLine) bdd.Node {

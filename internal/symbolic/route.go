@@ -90,6 +90,18 @@ type MemoStats struct {
 // Memo reports the encoding's memo-table counters since construction.
 func (e *RouteEncoding) Memo() MemoStats { return e.memo }
 
+// ForgetConfigs empties the memo tables keyed by *ir pointers (the list
+// tables and the clause signatures), so a long-lived encoding stops
+// holding configurations it will not see again. Their BDDs stay in the
+// factory, and a later compile of the same list hash-conses onto them.
+func (e *RouteEncoding) ForgetConfigs() {
+	clear(e.prefixLists)
+	clear(e.nextHopLists)
+	clear(e.commLists)
+	clear(e.asPathLists)
+	clear(e.clauseSigs)
+}
+
 // NewRouteEncoding builds an encoding whose atom vocabulary covers all the
 // given configurations.
 func NewRouteEncoding(cfgs ...*ir.Config) *RouteEncoding {

@@ -67,6 +67,18 @@ case "$edit_resp" in
     *) echo "FAIL: edited push was not ingested" >&2; exit 1 ;;
 esac
 
+# The edit leaves r1's route maps and ACLs alone, and earlier audits
+# already compared them with every other router's, so the re-diffed
+# pairs recall both semantic components from the component memo and
+# compute none.
+recalled="$(printf '%s\n' "$edit_resp" | sed -n 's/.*"components_recalled": \([0-9]*\).*/\1/p')"
+computed="$(printf '%s\n' "$edit_resp" | sed -n 's/.*"components_computed": \([0-9]*\).*/\1/p')"
+echo "serve smoke: post-edit components ${recalled:-?} recalled, ${computed:-?} computed"
+if [ "$computed" != 0 ] || [ -z "$recalled" ] || [ "$recalled" -eq 0 ]; then
+    echo "FAIL: the static-route edit must recall every route-map and ACL comparison and compute none" >&2
+    exit 1
+fi
+
 # The daemon's core promise: the post-edit audit re-diffed strictly
 # fewer representative pairs than it needed — scraped from the session
 # metrics, not inferred.
