@@ -11,6 +11,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/netaddr"
@@ -58,10 +59,14 @@ func (s TextSpan) Location() string {
 	if s.File == "" && s.StartLine == 0 {
 		return ""
 	}
-	if s.StartLine == s.EndLine {
-		return fmt.Sprintf("%s:%d", s.File, s.StartLine)
+	var buf [64]byte
+	b := append(append(buf[:0], s.File...), ':')
+	b = strconv.AppendInt(b, int64(s.StartLine), 10)
+	if s.StartLine != s.EndLine {
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(s.EndLine), 10)
 	}
-	return fmt.Sprintf("%s:%d-%d", s.File, s.StartLine, s.EndLine)
+	return string(b)
 }
 
 // IsZero reports whether the span carries no information.

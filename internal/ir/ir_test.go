@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"fmt"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/netaddr"
 )
@@ -31,6 +33,47 @@ func TestTextSpan(t *testing.T) {
 	}
 	if s.Merge(zero).StartLine != 3 {
 		t.Error("merge with zero should be identity")
+	}
+}
+
+// locationRef is the fmt reference Location must match byte for byte.
+func locationRef(s TextSpan) string {
+	if s.File == "" && s.StartLine == 0 {
+		return ""
+	}
+	if s.StartLine == s.EndLine {
+		return fmt.Sprintf("%s:%d", s.File, s.StartLine)
+	}
+	return fmt.Sprintf("%s:%d-%d", s.File, s.StartLine, s.EndLine)
+}
+
+func TestLocationMatchesSprintf(t *testing.T) {
+	for _, s := range []TextSpan{
+		{},
+		{EndLine: 4},
+		{File: "r.cfg", StartLine: 7, EndLine: 7},
+		{File: "r.cfg", StartLine: 3, EndLine: 5},
+		{StartLine: 12, EndLine: 12},
+		{StartLine: 12, EndLine: 15},
+		{File: "r\xff.cfg", StartLine: -1, EndLine: 0},
+		{File: "/a/long/directory/path/to/the/configuration/of/router-0001.cfg", StartLine: 1 << 40, EndLine: -1 << 40},
+	} {
+		if got, want := s.Location(), locationRef(s); got != want {
+			t.Errorf("%+v: Location = %q, want %q", s, got, want)
+		}
+	}
+	f := func(file string, start, end int, oneLine, noFile bool) bool {
+		if oneLine {
+			end = start
+		}
+		if noFile {
+			file = ""
+		}
+		s := TextSpan{File: file, StartLine: start, EndLine: end}
+		return s.Location() == locationRef(s)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

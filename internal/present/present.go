@@ -220,8 +220,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// jsonReport is the wire form of a report.
-type jsonReport struct {
+// JSONReport is the wire form of a report: the value View builds and
+// ToJSON encodes. The daemon's GET /report embeds it in its payload so
+// the report body is encoded in the same pass as the payload.
+type JSONReport struct {
 	Router1       string           `json:"router1"`
 	Router2       string           `json:"router2"`
 	RouteMapDiffs []jsonRouteDiff  `json:"routeMapDiffs,omitempty"`
@@ -274,12 +276,21 @@ type jsonStructDiff struct {
 
 // ToJSON renders the report as indented JSON.
 func ToJSON(rep *core.Report) ([]byte, error) {
+	return json.MarshalIndent(View(rep), "", "  ")
+}
+
+// View returns the report's wire form.
+func View(rep *core.Report) *JSONReport {
 	n1, n2 := routerNames(rep)
-	out := jsonReport{
+	out := &JSONReport{
 		Router1:       n1,
 		Router2:       n2,
 		UnmatchedACL1: rep.UnmatchedACLs1,
 		UnmatchedACL2: rep.UnmatchedACLs2,
+		// Empty and nil encode alike here: all three are omitempty.
+		RouteMapDiffs: make([]jsonRouteDiff, 0, len(rep.RouteMapDiffs)),
+		ACLDiffs:      make([]jsonACLDiff, 0, len(rep.ACLDiffs)),
+		Structural:    make([]jsonStructDiff, 0, len(rep.Structural)),
 	}
 	for _, d := range rep.RouteMapDiffs {
 		var commTerms []string
@@ -336,7 +347,7 @@ func ToJSON(rep *core.Report) ([]byte, error) {
 			Location2: d.Span2.Location(),
 		})
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return out
 }
 
 // Summary writes a one-line-per-difference digest grouped by component,

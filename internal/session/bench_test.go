@@ -3,6 +3,8 @@ package session
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -35,12 +37,9 @@ func benchSnapshots() (map[string][]byte, []string) {
 	return snaps, names
 }
 
-// BenchmarkSessionIncremental: steady-state daemon cost of one
-// single-device edit (ingest + incremental audit) on a warm session.
-// The device toggles between two variants whose hashes and reports are
-// both already cached, so per-iteration work is the parse and re-hash
-// of the edited device plus a memo-served DiffFleet.
-func BenchmarkSessionIncremental(b *testing.B) {
+// benchSession returns a session seeded with benchSnapshots' fleet and
+// audited once, along with the snapshots and sorted device names.
+func benchSession(b *testing.B) (*Session, map[string][]byte, []string) {
 	snaps, names := benchSnapshots()
 	ctx := context.Background()
 	s := New(Options{})
@@ -52,6 +51,29 @@ func BenchmarkSessionIncremental(b *testing.B) {
 	if _, err := s.Audit(ctx); err != nil {
 		b.Fatal(err)
 	}
+	return s, snaps, names
+}
+
+// benchReportPairs is a fixed list of 64 cross-template pairs of
+// benchSnapshots' fleet. Device i, the i-th name in sorted order, uses
+// template i%4, and the two indices of each pair differ by 1 to 3.
+func benchReportPairs(names []string) [][2]string {
+	pairs := make([][2]string, 64)
+	for k := range pairs {
+		i := 3 * k
+		pairs[k] = [2]string{names[i], names[i+1+k%3]}
+	}
+	return pairs
+}
+
+// BenchmarkSessionIncremental: steady-state daemon cost of one
+// single-device edit (ingest + incremental audit) on a warm session.
+// The device toggles between two variants whose hashes and reports are
+// both already cached, so per-iteration work is the parse and re-hash
+// of the edited device plus a memo-served DiffFleet.
+func BenchmarkSessionIncremental(b *testing.B) {
+	s, snaps, names := benchSession(b)
+	ctx := context.Background()
 
 	name := names[len(names)/2]
 	varA := snaps[name]
@@ -85,17 +107,8 @@ func BenchmarkSessionIncremental(b *testing.B) {
 // stored — the write path BenchmarkSessionIncremental's cached toggle
 // never reaches.
 func BenchmarkSessionFreshEdit(b *testing.B) {
-	snaps, names := benchSnapshots()
+	s, snaps, names := benchSession(b)
 	ctx := context.Background()
-	s := New(Options{})
-	for name, raw := range snaps {
-		if _, err := s.Ingest(ctx, name, raw, "seed", false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := s.Audit(ctx); err != nil {
-		b.Fatal(err)
-	}
 
 	name := names[len(names)/2]
 	base := snaps[name]
@@ -113,6 +126,28 @@ func BenchmarkSessionFreshEdit(b *testing.B) {
 		repDiffs += res.Audit.RepComputed
 	}
 	b.ReportMetric(float64(repDiffs)/float64(b.N), "repdiffs/op")
+}
+
+// BenchmarkSessionReport: the daemon's cost of one read, GET
+// /report/{a}/{b} through Server.Handler, on a seeded session. It cycles
+// over benchReportPairs, so every read renders a cross-template report
+// with differences in it; body-B/op is the mean response body size.
+func BenchmarkSessionReport(b *testing.B) {
+	s, _, names := benchSession(b)
+	h := (&Server{Session: s}).Handler()
+	pairs := benchReportPairs(names)
+	body := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/report/"+p[0]+"/"+p[1], nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET /report/%s/%s = %d: %s", p[0], p[1], rec.Code, rec.Body.Bytes())
+		}
+		body += rec.Body.Len()
+	}
+	b.ReportMetric(float64(body)/float64(b.N), "body-B/op")
 }
 
 // BenchmarkSessionColdWarmCache: the batch alternative to the daemon —

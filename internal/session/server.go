@@ -1,14 +1,17 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"repro/campion"
 	"repro/internal/obs"
+	"repro/internal/present"
 )
 
 // Server is the daemon's HTTP surface over a Session: snapshot ingest,
@@ -72,12 +75,41 @@ func errStatus(err error) int {
 	}
 }
 
+// jsonWriter is a response body buffer and the indenting encoder that
+// writes into it.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonWriters pools the writers every JSON response is encoded with. An
+// indenting json.Encoder keeps the buffer it indents into from one
+// Encode to the next, so a fresh encoder per response regrew that buffer
+// from empty for every report body; a pooled one keeps it. Every writer
+// is configured once, with indent "  " and the default HTML escaping,
+// and never changed, so which writer serves a response never changes
+// its bytes.
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// writeJSON encodes v as the response body. The body is encoded whole
+// before the status goes out, so a value that fails to encode answers
+// 500 with the error instead of a truncated body under status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	defer jsonWriters.Put(jw)
+	jw.buf.Reset()
+	if err := jw.enc.Encode(v); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(jw.buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -143,13 +175,15 @@ func (s *Server) fleet(w http.ResponseWriter, _ *http.Request) {
 
 // pairPayload is the GET /report/{a}/{b} body: the pair name, either
 // the localized report or the pair's structured error, and the
-// difference count for quick triage.
+// difference count for quick triage. Report is present's wire view, so
+// one Encode writes the report with its payload; the bytes are those of
+// campion.JSON's report re-indented one level into the payload.
 type pairPayload struct {
-	Name    string          `json:"name"`
-	Diffs   int             `json:"diffs"`
-	Report  json.RawMessage `json:"report,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	ErrKind string          `json:"err_kind,omitempty"`
+	Name    string              `json:"name"`
+	Diffs   int                 `json:"diffs"`
+	Report  *present.JSONReport `json:"report,omitempty"`
+	Error   string              `json:"error,omitempty"`
+	ErrKind string              `json:"err_kind,omitempty"`
 }
 
 func (s *Server) report(w http.ResponseWriter, r *http.Request) {
@@ -170,12 +204,7 @@ func (s *Server) report(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	payload.Diffs = res.Report.TotalDifferences()
-	body, jerr := campion.JSON(res.Report)
-	if jerr != nil {
-		writeErr(w, http.StatusInternalServerError, jerr)
-		return
-	}
-	payload.Report = body
+	payload.Report = present.View(res.Report)
 	writeJSON(w, http.StatusOK, payload)
 }
 

@@ -1,12 +1,18 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/campion"
 	"repro/internal/obs"
 )
 
@@ -177,5 +183,172 @@ func TestServerBodyLimit(t *testing.T) {
 	resp, _ := do(t, "POST", ts.URL+"/snapshot/r1", strings.Repeat("x", 1024))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized POST = %d, want 413", resp.StatusCode)
+	}
+}
+
+// twoPassReport answers GET /report/{a}/{b} the way the handler did
+// before a read encoded its body once: campion.JSON renders the report,
+// the payload carries those bytes as a json.RawMessage, and a fresh
+// indenting Encoder re-validates and re-indents them.
+func twoPassReport(t *testing.T, s *Session, a, b string) (int, []byte) {
+	t.Helper()
+	encode := func(status int, v any) (int, []byte) {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return status, buf.Bytes()
+	}
+	res, err := s.Report(a, b)
+	if err != nil {
+		return encode(errStatus(err), map[string]string{"error": err.Error()})
+	}
+	var payload struct {
+		Name    string          `json:"name"`
+		Diffs   int             `json:"diffs"`
+		Report  json.RawMessage `json:"report,omitempty"`
+		Error   string          `json:"error,omitempty"`
+		ErrKind string          `json:"err_kind,omitempty"`
+	}
+	payload.Name = res.Name
+	if res.Err != nil {
+		payload.Error = res.Err.Error()
+		payload.ErrKind = campion.ErrKind(res.Err)
+		return encode(http.StatusUnprocessableEntity, payload)
+	}
+	payload.Diffs = res.Report.TotalDifferences()
+	body, err := campion.JSON(res.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload.Report = body
+	return encode(http.StatusOK, payload)
+}
+
+// TestReportBodyMatchesTwoPass pins GET /report's status and body byte
+// for byte to the two-pass encoding, over the golden corpus, the bench
+// fleet's cross-template pairs, an empty report, text that JSON must
+// escape, and a device that failed to parse.
+func TestReportBodyMatchesTwoPass(t *testing.T) {
+	check := func(t *testing.T, s *Session, a, b string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		(&Server{Session: s}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/report/"+a+"/"+b, nil))
+		code, want := twoPassReport(t, s, a, b)
+		if rec.Code != code || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("GET /report/%s/%s = %d, want %d\n--- got ---\n%s\n--- want ---\n%s", a, b, rec.Code, code, rec.Body.Bytes(), want)
+		}
+		return want
+	}
+
+	t.Run("golden", func(t *testing.T) {
+		dirs, err := filepath.Glob("../campiontest/golden/*/b.cfg")
+		if err != nil || len(dirs) < 10 {
+			t.Fatalf("golden corpus: %d pairs, %v", len(dirs), err)
+		}
+		for _, b := range dirs {
+			dir := filepath.Dir(b)
+			rawA, errA := os.ReadFile(filepath.Join(dir, "a.cfg"))
+			rawB, errB := os.ReadFile(b)
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			name := filepath.Base(dir)
+			s := New(Options{})
+			seedSession(t, s, map[string][]byte{name + "-a": rawA, name + "-b": rawB})
+			check(t, s, name+"-a", name+"-b")
+			check(t, s, name+"-b", name+"-a")
+		}
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		snaps, names := benchSnapshots()
+		// Route-map names land in the report's policy and text fields:
+		// give one device a name holding HTML-sensitive bytes, U+2028
+		// and a byte that is not valid UTF-8.
+		snaps["fleet-0000"] = bytes.ReplaceAll(snaps["fleet-0000"], []byte("CUSTOMER-IN"), []byte("CUSTOMER<&>\u2028\xff-IN"))
+		snaps["broken"] = []byte("%% nonsense %%\n")
+		s := New(Options{})
+		seedSession(t, s, snaps)
+
+		pairs := benchReportPairs(names)
+		want := make([][]byte, len(pairs))
+		for i, p := range pairs {
+			want[i] = check(t, s, p[0], p[1])
+		}
+		all := bytes.Join(want, nil)
+		for _, esc := range []string{`\u003c`, `\u003e`, `\u0026`, `\u2028`, `\ufffd`} {
+			if !bytes.Contains(all, []byte(esc)) {
+				t.Errorf("no report body holds %s", esc)
+			}
+		}
+		// Concurrent reads share the pooled writers; each must still
+		// get exactly its own body.
+		h := (&Server{Session: s}).Handler()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range pairs {
+					i := (k + 16*g) % len(pairs)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/report/"+pairs[i][0]+"/"+pairs[i][1], nil))
+					if !bytes.Equal(rec.Body.Bytes(), want[i]) {
+						t.Errorf("concurrent GET /report/%s/%s: body differs", pairs[i][0], pairs[i][1])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		sum, err := s.Fleet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := false
+		for _, class := range sum.Classes {
+			if len(class) < 2 {
+				continue
+			}
+			if res, _ := s.Report(class[0], class[1]); res.Err != nil || res.Report.TotalDifferences() != 0 {
+				t.Fatalf("same-class pair %s/%s: %+v", class[0], class[1], res)
+			}
+			check(t, s, class[0], class[1])
+			same = true
+			break
+		}
+		if !same {
+			t.Fatal("no class holds two devices")
+		}
+
+		if code, _ := twoPassReport(t, s, "broken", "fleet-0001"); code != http.StatusUnprocessableEntity {
+			t.Fatalf("pair with an unparsed device answers %d, want 422", code)
+		}
+		check(t, s, "broken", "fleet-0001")
+		check(t, s, "fleet-0001", "ghost")
+		check(t, s, "fleet-0001", "fleet-0001")
+	})
+}
+
+// TestWriteJSONEncodeFailure: a value that cannot be encoded answers 500
+// with the error instead of a partial body under the intended status,
+// and the pooled writer encodes the next response cleanly.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"ok": 1, "bad": math.NaN()})
+	var e map[string]string
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+		!strings.Contains(e["error"], "unsupported value") {
+		t.Fatalf("unencodable value: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	for i := 0; i < 2; i++ {
+		rec = httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, map[string]int{"ok": 1})
+		if rec.Code != http.StatusOK || rec.Body.String() != "{\n  \"ok\": 1\n}\n" {
+			t.Fatalf("after a failed encode: %d %q", rec.Code, rec.Body.Bytes())
+		}
 	}
 }

@@ -10,6 +10,7 @@ package structdiff
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ir"
@@ -61,11 +62,13 @@ func staticKey(r *ir.StaticRoute) string {
 	if r.HasNextHop {
 		nh = r.NextHop.String()
 	}
-	s := fmt.Sprintf("next-hop %s, admin-distance %d", nh, r.AdminDistance)
+	var buf [96]byte
+	b := append(append(buf[:0], "next-hop "...), nh...)
+	b = strconv.AppendInt(append(b, ", admin-distance "...), int64(r.AdminDistance), 10)
 	if r.HasTag {
-		s += fmt.Sprintf(", tag %d", r.Tag)
+		b = strconv.AppendInt(append(b, ", tag "...), r.Tag, 10)
 	}
-	return s
+	return string(b)
 }
 
 // DiffStaticRoutes compares the two static route sets: routes for a

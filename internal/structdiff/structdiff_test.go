@@ -1,13 +1,52 @@
 package structdiff
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cisco"
 	"repro/internal/ir"
 	"repro/internal/juniper"
+	"repro/internal/netaddr"
 )
+
+// staticKeyRef is the fmt reference staticKey must match byte for byte.
+func staticKeyRef(r *ir.StaticRoute) string {
+	nh := r.Interface
+	if r.HasNextHop {
+		nh = r.NextHop.String()
+	}
+	s := fmt.Sprintf("next-hop %s, admin-distance %d", nh, r.AdminDistance)
+	if r.HasTag {
+		s += fmt.Sprintf(", tag %d", r.Tag)
+	}
+	return s
+}
+
+func TestStaticKeyMatchesSprintf(t *testing.T) {
+	for _, r := range []ir.StaticRoute{
+		{},
+		{NextHop: netaddr.MustParseAddr("10.0.0.254"), HasNextHop: true, AdminDistance: 1},
+		{Interface: "Null0", AdminDistance: 250, Tag: -1, HasTag: true},
+		{Interface: "GigabitEthernet0/0/0.100", AdminDistance: -5, Tag: -1 << 63, HasTag: true},
+		{NextHop: netaddr.MustParseAddr("255.255.255.255"), HasNextHop: true, Interface: "ignored", Tag: 1<<63 - 1, HasTag: true},
+		{Interface: "Tunnel\xff", Tag: 42},
+	} {
+		if got, want := staticKey(&r), staticKeyRef(&r); got != want {
+			t.Errorf("%+v: staticKey = %q, want %q", r, got, want)
+		}
+	}
+	f := func(nh uint32, hasNH bool, iface string, ad int, tag int64, hasTag bool) bool {
+		r := ir.StaticRoute{NextHop: netaddr.Addr(nh), HasNextHop: hasNH, Interface: iface,
+			AdminDistance: ad, Tag: tag, HasTag: hasTag}
+		return staticKey(&r) == staticKeyRef(&r)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
 
 // TestTable4StaticRoute reproduces the paper's Table 4: a static route
 // present in the Cisco router but absent from the Juniper one, localized
