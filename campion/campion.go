@@ -280,7 +280,7 @@ func WriteSummary(w io.Writer, rep *Report) {
 	present.Summary(w, rep)
 }
 
-// JSON renders the report as indented JSON.
+// JSON renders the report as indented JSON. The error is always nil.
 func JSON(rep *Report) ([]byte, error) {
-	return present.ToJSON(rep)
+	return present.AppendJSON(nil, rep, 0), nil
 }

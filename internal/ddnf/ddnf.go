@@ -375,13 +375,18 @@ func Simplify(terms []Term) []FlatTerm {
 
 // String renders a flat term as "R − X₁ − X₂".
 func (t FlatTerm) String() string {
-	var b strings.Builder
-	b.WriteString(t.Include.String())
+	var buf [64]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of t to b.
+func (t FlatTerm) AppendTo(b []byte) []byte {
+	b = t.Include.AppendTo(b)
 	for _, x := range t.Exclude {
-		b.WriteString(" − ")
-		b.WriteString(x.String())
+		b = append(b, " − "...)
+		b = x.AppendTo(b)
 	}
-	return b.String()
+	return b
 }
 
 // Dot renders the DAG in Graphviz dot format, for visual inspection of

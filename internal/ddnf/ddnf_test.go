@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/bdd"
 	"repro/internal/netaddr"
@@ -250,6 +251,32 @@ func TestFlatTermString(t *testing.T) {
 	want := "10.0.0.0/8 : 8-32 − 10.1.0.0/16 : 16-32"
 	if ft.String() != want {
 		t.Errorf("String = %q, want %q", ft.String(), want)
+	}
+	// Any term: String joins the ranges' String forms with " − ", and
+	// AppendTo appends the same text after what its buffer held.
+	f := func(addrs []uint32, lens []uint8, head string) bool {
+		var t FlatTerm
+		for i, a := range addrs {
+			var l uint8
+			if i < len(lens) {
+				l = lens[i] % 33
+			}
+			r := netaddr.NewPrefixRange(netaddr.NewPrefix(netaddr.Addr(a), l), l, 32)
+			if i == 0 {
+				t.Include = r
+			} else {
+				t.Exclude = append(t.Exclude, r)
+			}
+		}
+		parts := []string{t.Include.String()}
+		for _, x := range t.Exclude {
+			parts = append(parts, x.String())
+		}
+		want := strings.Join(parts, " − ")
+		return t.String() == want && string(t.AppendTo([]byte(head))) == head+want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -16,11 +16,7 @@ func render(t *testing.T, rep *core.Report) (string, string) {
 	if err := present.Format(&text, rep); err != nil {
 		t.Fatalf("format: %v", err)
 	}
-	js, err := present.ToJSON(rep)
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	return text.String(), string(js)
+	return text.String(), string(present.AppendJSON(nil, rep, 0))
 }
 
 // TestReportWireRoundTrip: a report decoded from its wire form renders

@@ -8,7 +8,6 @@ package headerloc
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/bdd"
 	"repro/internal/ddnf"
@@ -122,17 +121,26 @@ type CommunityTerm struct {
 }
 
 func (t CommunityTerm) String() string {
-	var parts []string
+	return string(t.AppendTo(nil))
+}
+
+// AppendTo appends the String form of t to b: each Present atom as
+// "+atom" and each Absent atom as "−atom", space-separated, or "(any)"
+// when the term constrains no atom.
+func (t CommunityTerm) AppendTo(b []byte) []byte {
+	if len(t.Present)+len(t.Absent) == 0 {
+		return append(b, "(any)"...)
+	}
+	sep := ""
 	for _, p := range t.Present {
-		parts = append(parts, "+"+p)
+		b = append(append(append(b, sep...), '+'), p...)
+		sep = " "
 	}
 	for _, a := range t.Absent {
-		parts = append(parts, "−"+a)
+		b = append(append(append(b, sep...), "−"...), a...)
+		sep = " "
 	}
-	if len(parts) == 0 {
-		return "(any)"
-	}
-	return strings.Join(parts, " ")
+	return b
 }
 
 // LocalizeCommunities renders the community dimension of a difference

@@ -1,7 +1,9 @@
 package headerloc
 
 import (
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/cisco"
 	"repro/internal/ir"
@@ -264,6 +266,30 @@ func TestLocalizeCommunities(t *testing.T) {
 	}
 	if got := (CommunityTerm{Present: []string{"a"}, Absent: []string{"b"}}).String(); got != "+a −b" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestCommunityTermAppendTo: for any atoms, String joins "+present" and
+// "−absent" with spaces ("(any)" for none), and AppendTo appends the same
+// text after what its buffer held.
+func TestCommunityTermAppendTo(t *testing.T) {
+	f := func(present, absent []string, head string) bool {
+		ct := CommunityTerm{Present: present, Absent: absent}
+		var parts []string
+		for _, p := range present {
+			parts = append(parts, "+"+p)
+		}
+		for _, a := range absent {
+			parts = append(parts, "−"+a)
+		}
+		want := strings.Join(parts, " ")
+		if len(parts) == 0 {
+			want = "(any)"
+		}
+		return ct.String() == want && string(ct.AppendTo([]byte(head))) == head+want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -346,11 +346,16 @@ func (r PrefixRange) Compare(s PrefixRange) int {
 
 func (r PrefixRange) String() string {
 	var buf [len("255.255.255.255/255 : 255-255")]byte
-	b := r.Prefix.appendTo(buf[:0])
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the "a.b.c.d/len : lo-hi" form of r to b.
+func (r PrefixRange) AppendTo(b []byte) []byte {
+	b = r.Prefix.appendTo(b)
 	b = append(b, " : "...)
 	b = strconv.AppendUint(b, uint64(r.Lo), 10)
 	b = append(b, '-')
-	return string(strconv.AppendUint(b, uint64(r.Hi), 10))
+	return strconv.AppendUint(b, uint64(r.Hi), 10)
 }
 
 // ParsePrefixRange parses the "a.b.c.d/len : lo-hi" form produced by

@@ -338,14 +338,16 @@ func TestPrefixRangeParseRoundTrip(t *testing.T) {
 		}
 	}
 	// Any field values, canonical or not, format as the fmt reference
-	// below; a valid range parses back.
-	f := func(a uint32, plen, lo, hi uint8) bool {
+	// below, and AppendTo appends the same text after what its buffer
+	// held; a valid range parses back.
+	f := func(a uint32, plen, lo, hi uint8, head string) bool {
 		valid := PrefixRange{Prefix: NewPrefix(Addr(a), plen%33), Lo: lo % 33, Hi: hi % 33}
 		for _, r := range []PrefixRange{{Prefix: Prefix{Addr: Addr(a), Len: plen}, Lo: lo, Hi: hi}, valid} {
 			x := r.Prefix.Addr
 			want := fmt.Sprintf("%d.%d.%d.%d/%d : %d-%d",
 				byte(x>>24), byte(x>>16), byte(x>>8), byte(x), r.Prefix.Len, r.Lo, r.Hi)
-			if r.String() != want || r.Prefix.String() != want[:strings.IndexByte(want, ' ')] {
+			if r.String() != want || r.Prefix.String() != want[:strings.IndexByte(want, ' ')] ||
+				string(r.AppendTo([]byte(head))) != head+want {
 				return false
 			}
 		}

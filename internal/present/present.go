@@ -4,7 +4,6 @@
 package present
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -218,136 +217,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// JSONReport is the wire form of a report: the value View builds and
-// ToJSON encodes. The daemon's GET /report embeds it in its payload so
-// the report body is encoded in the same pass as the payload.
-type JSONReport struct {
-	Router1       string           `json:"router1"`
-	Router2       string           `json:"router2"`
-	RouteMapDiffs []jsonRouteDiff  `json:"routeMapDiffs,omitempty"`
-	ACLDiffs      []jsonACLDiff    `json:"aclDiffs,omitempty"`
-	Structural    []jsonStructDiff `json:"structuralDiffs,omitempty"`
-	UnmatchedACL1 []string         `json:"aclsOnlyOnRouter1,omitempty"`
-	UnmatchedACL2 []string         `json:"aclsOnlyOnRouter2,omitempty"`
-}
-
-type jsonRouteDiff struct {
-	Kind             string   `json:"kind"`
-	Neighbor         string   `json:"neighbor"`
-	Policy1          string   `json:"policy1"`
-	Policy2          string   `json:"policy2"`
-	IncludedPrefixes []string `json:"includedPrefixes"`
-	ExcludedPrefixes []string `json:"excludedPrefixes,omitempty"`
-	Exact            bool     `json:"exact"`
-	Community        []string `json:"exampleCommunities,omitempty"`
-	CommunityTerms   []string `json:"communityTerms,omitempty"`
-	CommunityTermsOK bool     `json:"communityTermsComplete,omitempty"`
-	Action1          string   `json:"action1"`
-	Action2          string   `json:"action2"`
-	Text1            string   `json:"text1"`
-	Text2            string   `json:"text2"`
-	Location1        string   `json:"location1,omitempty"`
-	Location2        string   `json:"location2,omitempty"`
-}
-
-type jsonACLDiff struct {
-	Name    string   `json:"name"`
-	Src     []string `json:"srcPackets"`
-	Dst     []string `json:"dstPackets"`
-	Example []string `json:"example,omitempty"`
-	More    int      `json:"moreFields,omitempty"`
-	Action1 string   `json:"action1"`
-	Action2 string   `json:"action2"`
-	Text1   string   `json:"text1"`
-	Text2   string   `json:"text2"`
-}
-
-type jsonStructDiff struct {
-	Component string `json:"component"`
-	Key       string `json:"key"`
-	Field     string `json:"field"`
-	Value1    string `json:"value1"`
-	Value2    string `json:"value2"`
-	Location1 string `json:"location1,omitempty"`
-	Location2 string `json:"location2,omitempty"`
-}
-
-// ToJSON renders the report as indented JSON.
-func ToJSON(rep *core.Report) ([]byte, error) {
-	return json.MarshalIndent(View(rep), "", "  ")
-}
-
-// View returns the report's wire form.
-func View(rep *core.Report) *JSONReport {
-	n1, n2 := routerNames(rep)
-	out := &JSONReport{
-		Router1:       n1,
-		Router2:       n2,
-		UnmatchedACL1: rep.UnmatchedACLs1,
-		UnmatchedACL2: rep.UnmatchedACLs2,
-		// Empty and nil encode alike here: all three are omitempty.
-		RouteMapDiffs: make([]jsonRouteDiff, 0, len(rep.RouteMapDiffs)),
-		ACLDiffs:      make([]jsonACLDiff, 0, len(rep.ACLDiffs)),
-		Structural:    make([]jsonStructDiff, 0, len(rep.Structural)),
-	}
-	for _, d := range rep.RouteMapDiffs {
-		var commTerms []string
-		for _, ct := range d.Localization.CommunityTerms {
-			commTerms = append(commTerms, ct.String())
-		}
-		out.RouteMapDiffs = append(out.RouteMapDiffs, jsonRouteDiff{
-			Kind:             d.Pair.Kind,
-			Neighbor:         d.Pair.Neighbor,
-			Policy1:          d.Pair.Name1,
-			Policy2:          d.Pair.Name2,
-			IncludedPrefixes: includes(d.Localization.Terms),
-			ExcludedPrefixes: excludes(d.Localization.Terms),
-			Exact:            d.Localization.Exact,
-			Community:        d.Localization.ExampleCommunities,
-			CommunityTerms:   commTerms,
-			CommunityTermsOK: d.Localization.CommunityComplete,
-			Action1:          d.Action1,
-			Action2:          d.Action2,
-			Text1:            d.Text1.Text(),
-			Text2:            d.Text2.Text(),
-			Location1:        d.Text1.Location(),
-			Location2:        d.Text2.Location(),
-		})
-	}
-	for _, d := range rep.ACLDiffs {
-		var src, dst []string
-		for _, t := range d.Localization.SrcTerms {
-			src = append(src, t.String())
-		}
-		for _, t := range d.Localization.DstTerms {
-			dst = append(dst, t.String())
-		}
-		out.ACLDiffs = append(out.ACLDiffs, jsonACLDiff{
-			Name:    d.Name1,
-			Src:     src,
-			Dst:     dst,
-			Example: d.Localization.ExampleFields,
-			More:    d.Localization.More,
-			Action1: d.Action1,
-			Action2: d.Action2,
-			Text1:   d.Text1.Text(),
-			Text2:   d.Text2.Text(),
-		})
-	}
-	for _, d := range rep.Structural {
-		out.Structural = append(out.Structural, jsonStructDiff{
-			Component: d.Component,
-			Key:       d.Key,
-			Field:     d.Field,
-			Value1:    d.Value1,
-			Value2:    d.Value2,
-			Location1: d.Span1.Location(),
-			Location2: d.Span2.Location(),
-		})
-	}
-	return out
 }
 
 // Summary writes a one-line-per-difference digest grouped by component,

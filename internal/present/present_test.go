@@ -3,12 +3,19 @@ package present
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cisco"
 	"repro/internal/core"
+	"repro/internal/ddnf"
+	"repro/internal/headerloc"
+	"repro/internal/ir"
 	"repro/internal/juniper"
+	"repro/internal/netaddr"
+	"repro/internal/structdiff"
 )
 
 const ciscoSide = `hostname cisco_router
@@ -120,10 +127,7 @@ func TestFormatNoDifferences(t *testing.T) {
 
 func TestToJSON(t *testing.T) {
 	rep := report(t)
-	data, err := ToJSON(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := AppendJSON(nil, rep, 0)
 	var parsed map[string]interface{}
 	if err := json.Unmarshal(data, &parsed); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
@@ -222,12 +226,8 @@ func TestFormatACLDiffsAndJSON(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	data, err := ToJSON(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var parsed map[string]interface{}
-	if err := json.Unmarshal(data, &parsed); err != nil {
+	if err := json.Unmarshal(AppendJSON(nil, rep, 0), &parsed); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := parsed["aclDiffs"]; !ok {
@@ -256,14 +256,309 @@ ip access-list extended ONLY_C
 	if !strings.Contains(out, "ACL ONLY_C present only on") {
 		t.Error("unmatched ACL section missing")
 	}
-	data, err := ToJSON(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := AppendJSON(nil, rep, 0)
 	if !strings.Contains(string(data), "communityTerms") {
 		t.Error("JSON missing communityTerms")
 	}
 	if !strings.Contains(string(data), "aclsOnlyOnRouter1") {
 		t.Error("JSON missing unmatched ACLs")
 	}
+}
+
+// jsonReport, its three difference structs and view are the report's
+// wire form as encoding/json marshals it by reflection, the encoding
+// AppendJSON replaced. They stay here as its reference.
+type jsonReport struct {
+	Router1       string           `json:"router1"`
+	Router2       string           `json:"router2"`
+	RouteMapDiffs []jsonRouteDiff  `json:"routeMapDiffs,omitempty"`
+	ACLDiffs      []jsonACLDiff    `json:"aclDiffs,omitempty"`
+	Structural    []jsonStructDiff `json:"structuralDiffs,omitempty"`
+	UnmatchedACL1 []string         `json:"aclsOnlyOnRouter1,omitempty"`
+	UnmatchedACL2 []string         `json:"aclsOnlyOnRouter2,omitempty"`
+}
+
+type jsonRouteDiff struct {
+	Kind             string   `json:"kind"`
+	Neighbor         string   `json:"neighbor"`
+	Policy1          string   `json:"policy1"`
+	Policy2          string   `json:"policy2"`
+	IncludedPrefixes []string `json:"includedPrefixes"`
+	ExcludedPrefixes []string `json:"excludedPrefixes,omitempty"`
+	Exact            bool     `json:"exact"`
+	Community        []string `json:"exampleCommunities,omitempty"`
+	CommunityTerms   []string `json:"communityTerms,omitempty"`
+	CommunityTermsOK bool     `json:"communityTermsComplete,omitempty"`
+	Action1          string   `json:"action1"`
+	Action2          string   `json:"action2"`
+	Text1            string   `json:"text1"`
+	Text2            string   `json:"text2"`
+	Location1        string   `json:"location1,omitempty"`
+	Location2        string   `json:"location2,omitempty"`
+}
+
+type jsonACLDiff struct {
+	Name    string   `json:"name"`
+	Src     []string `json:"srcPackets"`
+	Dst     []string `json:"dstPackets"`
+	Example []string `json:"example,omitempty"`
+	More    int      `json:"moreFields,omitempty"`
+	Action1 string   `json:"action1"`
+	Action2 string   `json:"action2"`
+	Text1   string   `json:"text1"`
+	Text2   string   `json:"text2"`
+}
+
+type jsonStructDiff struct {
+	Component string `json:"component"`
+	Key       string `json:"key"`
+	Field     string `json:"field"`
+	Value1    string `json:"value1"`
+	Value2    string `json:"value2"`
+	Location1 string `json:"location1,omitempty"`
+	Location2 string `json:"location2,omitempty"`
+}
+
+func view(rep *core.Report) *jsonReport {
+	n1, n2 := routerNames(rep)
+	out := &jsonReport{
+		Router1:       n1,
+		Router2:       n2,
+		UnmatchedACL1: rep.UnmatchedACLs1,
+		UnmatchedACL2: rep.UnmatchedACLs2,
+		// Empty and nil encode alike here: all three are omitempty.
+		RouteMapDiffs: make([]jsonRouteDiff, 0, len(rep.RouteMapDiffs)),
+		ACLDiffs:      make([]jsonACLDiff, 0, len(rep.ACLDiffs)),
+		Structural:    make([]jsonStructDiff, 0, len(rep.Structural)),
+	}
+	for _, d := range rep.RouteMapDiffs {
+		var commTerms []string
+		for _, ct := range d.Localization.CommunityTerms {
+			commTerms = append(commTerms, ct.String())
+		}
+		out.RouteMapDiffs = append(out.RouteMapDiffs, jsonRouteDiff{
+			Kind:             d.Pair.Kind,
+			Neighbor:         d.Pair.Neighbor,
+			Policy1:          d.Pair.Name1,
+			Policy2:          d.Pair.Name2,
+			IncludedPrefixes: includes(d.Localization.Terms),
+			ExcludedPrefixes: excludes(d.Localization.Terms),
+			Exact:            d.Localization.Exact,
+			Community:        d.Localization.ExampleCommunities,
+			CommunityTerms:   commTerms,
+			CommunityTermsOK: d.Localization.CommunityComplete,
+			Action1:          d.Action1,
+			Action2:          d.Action2,
+			Text1:            d.Text1.Text(),
+			Text2:            d.Text2.Text(),
+			Location1:        d.Text1.Location(),
+			Location2:        d.Text2.Location(),
+		})
+	}
+	for _, d := range rep.ACLDiffs {
+		var src, dst []string
+		for _, t := range d.Localization.SrcTerms {
+			src = append(src, t.String())
+		}
+		for _, t := range d.Localization.DstTerms {
+			dst = append(dst, t.String())
+		}
+		out.ACLDiffs = append(out.ACLDiffs, jsonACLDiff{
+			Name:    d.Name1,
+			Src:     src,
+			Dst:     dst,
+			Example: d.Localization.ExampleFields,
+			More:    d.Localization.More,
+			Action1: d.Action1,
+			Action2: d.Action2,
+			Text1:   d.Text1.Text(),
+			Text2:   d.Text2.Text(),
+		})
+	}
+	for _, d := range rep.Structural {
+		out.Structural = append(out.Structural, jsonStructDiff{
+			Component: d.Component,
+			Key:       d.Key,
+			Field:     d.Field,
+			Value1:    d.Value1,
+			Value2:    d.Value2,
+			Location1: d.Span1.Location(),
+			Location2: d.Span2.Location(),
+		})
+	}
+	return out
+}
+
+// referenceJSON is json.MarshalIndent of the reflection view, with
+// json.Indent supplying a prefix of depth indents for depths above 0.
+func referenceJSON(t *testing.T, rep *core.Report, depth int) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(view(rep), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if depth == 0 {
+		return data
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, data, strings.Repeat("  ", depth), "  "); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestAppendJSONMatchesReflect pins AppendJSON byte for byte to the
+// reflection encoding at depths 0 to 2: over the golden corpus in both
+// orientations, with and without exhaustive communities; over
+// hand-built reports that reach every null and left-out member; and over
+// names and text that JSON must escape.
+func TestAppendJSONMatchesReflect(t *testing.T) {
+	check := func(t *testing.T, rep *core.Report) {
+		t.Helper()
+		for depth := 0; depth <= 2; depth++ {
+			want := referenceJSON(t, rep, depth)
+			// AppendJSON extends dst; it must leave what dst held.
+			got := AppendJSON([]byte("head"), rep, depth)
+			if string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+				t.Errorf("depth %d:\n--- got ---\n%s\n--- want ---\n%s", depth, got, want)
+			}
+		}
+	}
+
+	t.Run("golden", func(t *testing.T) {
+		dirs, err := filepath.Glob("../campiontest/golden/*/b.cfg")
+		if err != nil || len(dirs) < 10 {
+			t.Fatalf("golden corpus: %d pairs, %v", len(dirs), err)
+		}
+		for _, b := range dirs {
+			dir := filepath.Dir(b)
+			rawA, errA := os.ReadFile(filepath.Join(dir, "a.cfg"))
+			rawB, errB := os.ReadFile(b)
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			cA, errA := cisco.Parse(filepath.Join(dir, "a.cfg"), string(rawA))
+			cB, errB := juniper.Parse(b, string(rawB))
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			for _, opts := range []core.Options{{}, {ExhaustiveCommunities: true}} {
+				for _, pair := range [][2]*ir.Config{{cA, cB}, {cB, cA}} {
+					rep, err := core.Diff(pair[0], pair[1], opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, rep)
+				}
+			}
+		}
+	})
+
+	pr := netaddr.MustParsePrefixRange
+	lines := func(file string, start, end int, text ...string) ir.TextSpan {
+		return ir.TextSpan{File: file, StartLine: start, EndLine: end, Lines: text}
+	}
+	t.Run("handbuilt", func(t *testing.T) {
+		same := &ir.Config{Hostname: "r"}
+		for _, rep := range []*core.Report{
+			{},
+			{Config1: same, Config2: same, UnmatchedACLs1: []string{}, UnmatchedACLs2: []string{"B"}},
+			{
+				Config1: &ir.Config{Hostname: "r1"},
+				RouteMapDiffs: []core.RouteMapDiff{
+					{}, // no terms: includedPrefixes null, every omitempty member left out
+					{
+						Pair: core.PolicyPair{Kind: "bgp-import", Neighbor: "10.0.0.1", Name1: "A", Name2: "B"},
+						Localization: headerloc.RouteLocalization{
+							Terms: []ddnf.FlatTerm{
+								{Include: pr("10.0.0.0/8 : 8-24")},
+								{Include: pr("0.0.0.0/0 : 0-32"), Exclude: []netaddr.PrefixRange{pr("10.0.0.0/8 : 8-32"), pr("192.168.0.0/16 : 16-16")}},
+							},
+							Exact:              true,
+							ExampleCommunities: []string{"10:10", "10:11"},
+							CommunityTerms:     []headerloc.CommunityTerm{{}, {Present: []string{"10:10"}, Absent: []string{"10:11", "10:12"}}},
+							CommunityComplete:  true,
+						},
+						Action1: "ACCEPT", Action2: "REJECT",
+						Text1: lines("a.cfg", 3, 3, "route-map A permit 10"),
+						Text2: lines("b.cfg", 4, 9, "term t1 {", "    then reject;", "}"),
+					},
+					{
+						// Complete without terms, and a location with no file.
+						Localization: headerloc.RouteLocalization{CommunityComplete: true, Terms: []ddnf.FlatTerm{{Include: pr("1.2.3.4/32 : 32-32")}}},
+						Text1:        lines("", 7, 7),
+						Text2:        lines("", 0, 2, "x"),
+					},
+				},
+				ACLDiffs: []core.ACLPairDiff{
+					{}, // srcPackets and dstPackets null
+					{
+						Name1: "ACL1", Name2: "ACL2",
+						Localization: headerloc.ACLLocalization{
+							SrcTerms:      []ddnf.FlatTerm{{Include: pr("10.1.0.0/16 : 16-32"), Exclude: []netaddr.PrefixRange{pr("10.1.1.0/24 : 24-32")}}},
+							DstTerms:      []ddnf.FlatTerm{{Include: pr("0.0.0.0/0 : 0-32")}},
+							ExampleFields: []string{"protocol: tcp", "dstPort: 80"},
+							More:          3,
+						},
+						Action1: "PERMIT", Action2: "DENY",
+						Text1: lines("a.cfg", 10, 11, " 10 permit tcp any any eq 80", " 20 deny ip any any"),
+					},
+					{Localization: headerloc.ACLLocalization{ExampleFields: []string{}, More: -1}},
+				},
+				Structural: []structdiff.Difference{
+					{}, // zero spans: no locations
+					{
+						Component: "static-route", Key: "10.1.1.2/31", Field: "presence",
+						Value1: "next-hop 10.2.2.2, admin-distance 1", Value2: "None",
+						Span1: lines("a.cfg", 12, 12, "ip route 10.1.1.2 255.255.255.254 10.2.2.2"),
+						Span2: lines("", 5, 6),
+					},
+				},
+				UnmatchedACLs1: []string{"ONLY_A", "ONLY_A2"},
+			},
+		} {
+			check(t, rep)
+		}
+	})
+
+	t.Run("escapes", func(t *testing.T) {
+		odd := "<&>\u2028\u2029\xff\xed\xa0\x80\"\\\x00\x1f\x7f\t\b\f\r–"
+		span := lines("dir/"+odd+".cfg", 1, 2, "route-map "+odd+" permit 10", odd)
+		check(t, &core.Report{
+			Config1: &ir.Config{Hostname: odd},
+			Config2: &ir.Config{Hostname: odd},
+			RouteMapDiffs: []core.RouteMapDiff{{
+				Pair: core.PolicyPair{Kind: odd, Neighbor: odd, Name1: odd, Name2: odd},
+				Localization: headerloc.RouteLocalization{
+					ExampleCommunities: []string{odd},
+					CommunityTerms:     []headerloc.CommunityTerm{{Present: []string{odd}, Absent: []string{odd}}},
+				},
+				Action1: odd, Action2: odd, Text1: span, Text2: span,
+			}},
+			ACLDiffs:       []core.ACLPairDiff{{Name1: odd, Localization: headerloc.ACLLocalization{ExampleFields: []string{odd}}, Action1: odd, Text1: span}},
+			Structural:     []structdiff.Difference{{Component: odd, Key: odd, Field: odd, Value1: odd, Value2: odd, Span1: span, Span2: span}},
+			UnmatchedACLs1: []string{odd},
+			UnmatchedACLs2: []string{odd},
+		})
+	})
+}
+
+// FuzzJSONString: for arbitrary bytes, AppendJSONString writes exactly
+// what json.Marshal writes for the same string.
+func FuzzJSONString(f *testing.F) {
+	for _, s := range []string{
+		"", "plain ascii", "<>&", "\x7f", "\x00\x01\x1f\b\f\n\r\t", `"\`,
+		"\u2028\u2029", "\xff", "\xed\xa0\x80", "a\xe2\x80", "–™😀",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, err := json.Marshal(string(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString(nil, string(b)); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSONString(%q) = %s, want %s", b, got, want)
+		}
+	})
 }

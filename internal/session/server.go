@@ -1,12 +1,12 @@
 package session
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/campion"
@@ -78,20 +78,26 @@ func errStatus(err error) int {
 // jsonWriter is a response body buffer and the indenting encoder that
 // writes into it.
 type jsonWriter struct {
-	buf bytes.Buffer
+	buf []byte
 	enc *json.Encoder
 }
 
-// jsonWriters pools the writers every JSON response is encoded with. An
-// indenting json.Encoder keeps the buffer it indents into from one
-// Encode to the next, so a fresh encoder per response regrew that buffer
-// from empty for every report body; a pooled one keeps it. Every writer
-// is configured once, with indent "  " and the default HTML escaping,
-// and never changed, so which writer serves a response never changes
-// its bytes.
+// Write appends the encoder's output to the body.
+func (jw *jsonWriter) Write(p []byte) (int, error) {
+	jw.buf = append(jw.buf, p...)
+	return len(p), nil
+}
+
+// jsonWriters pools the buffers every JSON response is written into. A
+// GET /report 200 body is appended into the buffer directly; every other
+// response is encoded by the writer's encoder. A pooled buffer keeps its
+// capacity, so a read does not regrow a report body from empty. Every
+// encoder is configured once, with indent "  " and the default HTML
+// escaping, which present.AppendJSON reproduces, and never changed, so
+// which writer serves a response never changes its bytes.
 var jsonWriters = sync.Pool{New: func() any {
 	jw := new(jsonWriter)
-	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc = json.NewEncoder(jw)
 	jw.enc.SetIndent("", "  ")
 	return jw
 }}
@@ -102,14 +108,18 @@ var jsonWriters = sync.Pool{New: func() any {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	jw := jsonWriters.Get().(*jsonWriter)
 	defer jsonWriters.Put(jw)
-	jw.buf.Reset()
+	jw.buf = jw.buf[:0]
 	if err := jw.enc.Encode(v); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	writeBody(w, status, jw.buf)
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(jw.buf.Bytes())
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -173,17 +183,15 @@ func (s *Server) fleet(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, sum)
 }
 
-// pairPayload is the GET /report/{a}/{b} body: the pair name, either
-// the localized report or the pair's structured error, and the
-// difference count for quick triage. Report is present's wire view, so
-// one Encode writes the report with its payload; the bytes are those of
-// campion.JSON's report re-indented one level into the payload.
+// pairPayload is the GET /report/{a}/{b} body of a pair that failed:
+// the pair name, a zero difference count, and the pair's structured
+// error. A pair that compared answers the same name and diffs members
+// followed by its report, appended by report itself.
 type pairPayload struct {
-	Name    string              `json:"name"`
-	Diffs   int                 `json:"diffs"`
-	Report  *present.JSONReport `json:"report,omitempty"`
-	Error   string              `json:"error,omitempty"`
-	ErrKind string              `json:"err_kind,omitempty"`
+	Name    string `json:"name"`
+	Diffs   int    `json:"diffs"`
+	Error   string `json:"error,omitempty"`
+	ErrKind string `json:"err_kind,omitempty"`
 }
 
 func (s *Server) report(w http.ResponseWriter, r *http.Request) {
@@ -193,19 +201,24 @@ func (s *Server) report(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	payload := pairPayload{Name: res.Name}
 	if res.Err != nil {
 		// The pair itself failed (a device that never parsed, a budget
 		// abort): that is state, not a bad request — 422 with the
 		// structured error.
-		payload.Error = res.Err.Error()
-		payload.ErrKind = campion.ErrKind(res.Err)
-		writeJSON(w, http.StatusUnprocessableEntity, payload)
+		writeJSON(w, http.StatusUnprocessableEntity, pairPayload{
+			Name: res.Name, Error: res.Err.Error(), ErrKind: campion.ErrKind(res.Err),
+		})
 		return
 	}
-	payload.Diffs = res.Report.TotalDifferences()
-	payload.Report = present.View(res.Report)
-	writeJSON(w, http.StatusOK, payload)
+	// The bytes an indenting json.Encoder writes for {name, diffs,
+	// report}, with the report appended one level deep.
+	jw := jsonWriters.Get().(*jsonWriter)
+	defer jsonWriters.Put(jw)
+	body := present.AppendJSONString(append(jw.buf[:0], "{\n  \"name\": "...), res.Name)
+	body = strconv.AppendInt(append(body, ",\n  \"diffs\": "...), int64(res.Report.TotalDifferences()), 10)
+	body = present.AppendJSON(append(body, ",\n  \"report\": "...), res.Report, 1)
+	jw.buf = append(body, "\n}\n"...)
+	writeBody(w, http.StatusOK, jw.buf)
 }
 
 func (s *Server) index(w http.ResponseWriter, _ *http.Request) {

@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -186,10 +187,13 @@ func TestServerBodyLimit(t *testing.T) {
 	}
 }
 
-// twoPassReport answers GET /report/{a}/{b} the way the handler did
-// before a read encoded its body once: campion.JSON renders the report,
-// the payload carries those bytes as a json.RawMessage, and a fresh
-// indenting Encoder re-validates and re-indents them.
+// twoPassReport answers GET /report/{a}/{b} in two passes through
+// encoding/json: campion.JSON renders the report, the payload carries
+// those bytes as a json.RawMessage, and a fresh indenting Encoder
+// re-validates and re-indents them. campion.JSON and the handler append
+// the report with the same present.AppendJSON, whose bytes present's
+// TestAppendJSONMatchesReflect pins to reflection, so this reference
+// checks the envelope around the report and its one-level nesting.
 func twoPassReport(t *testing.T, s *Session, a, b string) (int, []byte) {
 	t.Helper()
 	encode := func(status int, v any) (int, []byte) {
@@ -350,5 +354,84 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 		if rec.Code != http.StatusOK || rec.Body.String() != "{\n  \"ok\": 1\n}\n" {
 			t.Fatalf("after a failed encode: %d %q", rec.Code, rec.Body.Bytes())
 		}
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status and the body length, so a read's allocations are the handler's.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// readAllocSlack bounds what a many-difference read may allocate beyond
+// a one-difference read. The two differ by costs that do not grow with
+// the report: the per-read RespanReport copies one difference slice for
+// the one and up to three for the other, and a pooled buffer that was
+// dropped (the race detector drops a quarter of sync.Pool puts) regrows
+// to the larger body in more append steps. Both reads allocate 8 times
+// without -race; under it they were 3 to 5 apart.
+const readAllocSlack = 10
+
+// TestReportReadAllocs: a GET /report read allocates nothing per
+// difference, prefix range or text line of its report, because the body
+// is appended into a pooled buffer. A read of the cross-template pair
+// with the most differences may allocate no more than a read of a pair
+// that differs by one static route, plus readAllocSlack.
+func TestReportReadAllocs(t *testing.T) {
+	snaps := fleetSnapshots(4, 17)
+	snaps["edited"] = applyEdit(snaps["fleet-0000"], 0, 1)
+	s := New(Options{})
+	seedSession(t, s, snaps)
+	h := (&Server{Session: s}).Handler()
+
+	read := func(a, b string) (allocs float64, diffs, body int) {
+		res, err := s.Report(a, b)
+		if err != nil || res.Err != nil {
+			t.Fatalf("report %s/%s: %v %v", a, b, err, res.Err)
+		}
+		req := httptest.NewRequest(http.MethodGet, "/report/"+a+"/"+b, nil)
+		w := &discardWriter{header: http.Header{}}
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, func() { h.ServeHTTP(w, req) })
+		if w.code != http.StatusOK {
+			t.Fatalf("GET /report/%s/%s = %d", a, b, w.code)
+		}
+		return allocs, res.Report.TotalDifferences(), w.n / (runs + 1)
+	}
+
+	near, nearDiffs, nearBody := read("edited", "fleet-0000")
+	if nearDiffs != 1 {
+		t.Fatalf("edited vs fleet-0000: %d differences, want 1", nearDiffs)
+	}
+	var many float64
+	var manyPair string
+	manyDiffs, manyBody := 0, 0
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			a, b := fmt.Sprintf("fleet-%04d", i), fmt.Sprintf("fleet-%04d", j)
+			if allocs, diffs, body := read(a, b); diffs > manyDiffs {
+				many, manyPair, manyDiffs, manyBody = allocs, a+"/"+b, diffs, body
+			}
+		}
+	}
+	t.Logf("one difference: %.0f allocs, %d-byte body; %s, %d differences: %.0f allocs, %d-byte body",
+		near, nearBody, manyPair, manyDiffs, many, manyBody)
+	if manyDiffs < 20 || manyBody < 20*nearBody {
+		t.Fatalf("largest report %s has %d differences and a %d-byte body; the test needs a large one", manyPair, manyDiffs, manyBody)
+	}
+	if many > near+readAllocSlack {
+		t.Errorf("a %d-difference read allocates %.0f times, a 1-difference read %.0f: more than %d apart",
+			manyDiffs, many, near, readAllocSlack)
 	}
 }

@@ -9,6 +9,7 @@ package structdiff
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,30 +77,34 @@ func staticKey(r *ir.StaticRoute) string {
 // attribute tuples (next hop, administrative distance, tag) differ.
 func DiffStaticRoutes(c1, c2 *ir.Config) []Difference {
 	group := func(c *ir.Config) map[netaddr.Prefix][]*ir.StaticRoute {
-		m := map[netaddr.Prefix][]*ir.StaticRoute{}
+		m := make(map[netaddr.Prefix][]*ir.StaticRoute, len(c.StaticRoutes))
 		for _, r := range c.StaticRoutes {
 			m[r.Prefix] = append(m[r.Prefix], r)
 		}
 		return m
 	}
 	g1, g2 := group(c1), group(c2)
-	var prefixes []netaddr.Prefix
-	seen := map[netaddr.Prefix]bool{}
-	for p := range g1 {
-		if !seen[p] {
-			seen[p] = true
-			prefixes = append(prefixes, p)
+	// Every route of a prefix on one side only is a presence difference.
+	prefixes := make([]netaddr.Prefix, 0, len(g1)+len(g2))
+	oneSided := 0
+	for p, rs := range g1 {
+		prefixes = append(prefixes, p)
+		if _, ok := g2[p]; !ok {
+			oneSided += len(rs)
 		}
 	}
-	for p := range g2 {
-		if !seen[p] {
-			seen[p] = true
+	for p, rs := range g2 {
+		if _, ok := g1[p]; !ok {
 			prefixes = append(prefixes, p)
+			oneSided += len(rs)
 		}
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
+	slices.SortFunc(prefixes, netaddr.Prefix.Compare)
 
 	var out []Difference
+	if oneSided > 0 {
+		out = make([]Difference, 0, oneSided)
+	}
 	for _, p := range prefixes {
 		r1, r2 := g1[p], g2[p]
 		switch {
@@ -174,7 +179,7 @@ func renderTuples(m map[string]*ir.StaticRoute) string {
 // interfaces.
 func DiffConnectedRoutes(c1, c2 *ir.Config) []Difference {
 	collect := func(c *ir.Config) map[netaddr.Prefix]*ir.Interface {
-		m := map[netaddr.Prefix]*ir.Interface{}
+		m := make(map[netaddr.Prefix]*ir.Interface, len(c.Interfaces))
 		for _, i := range c.Interfaces {
 			if i.HasAddress && !i.Shutdown {
 				m[i.Subnet] = i
@@ -183,32 +188,36 @@ func DiffConnectedRoutes(c1, c2 *ir.Config) []Difference {
 		return m
 	}
 	m1, m2 := collect(c1), collect(c2)
-	var out []Difference
-	var prefixes []netaddr.Prefix
+	// only holds the subnets on side 1 alone, then those on side 2 alone.
+	only := make([]netaddr.Prefix, 0, len(m1)+len(m2))
 	for p := range m1 {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
-	for _, p := range prefixes {
 		if _, ok := m2[p]; !ok {
-			out = append(out, Difference{
-				Component: "connected-route", Key: p.String(), Field: "presence",
-				Value1: "interface " + m1[p].Name, Value2: none, Span1: m1[p].Span,
-			})
+			only = append(only, p)
 		}
 	}
-	prefixes = prefixes[:0]
+	n1 := len(only)
 	for p := range m2 {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
-	for _, p := range prefixes {
 		if _, ok := m1[p]; !ok {
-			out = append(out, Difference{
-				Component: "connected-route", Key: p.String(), Field: "presence",
-				Value1: none, Value2: "interface " + m2[p].Name, Span2: m2[p].Span,
-			})
+			only = append(only, p)
 		}
+	}
+	if len(only) == 0 {
+		return nil
+	}
+	slices.SortFunc(only[:n1], netaddr.Prefix.Compare)
+	slices.SortFunc(only[n1:], netaddr.Prefix.Compare)
+	out := make([]Difference, 0, len(only))
+	for _, p := range only[:n1] {
+		out = append(out, Difference{
+			Component: "connected-route", Key: p.String(), Field: "presence",
+			Value1: "interface " + m1[p].Name, Value2: none, Span1: m1[p].Span,
+		})
+	}
+	for _, p := range only[n1:] {
+		out = append(out, Difference{
+			Component: "connected-route", Key: p.String(), Field: "presence",
+			Value1: none, Value2: "interface " + m2[p].Name, Span2: m2[p].Span,
+		})
 	}
 	return out
 }
