@@ -118,7 +118,7 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 	for i := range jobs {
 		jobs[i] = [2]int{i, -1}
 	}
-	results, _, _, err := diffBatch(ctx, pairs, jobs, opts, nil)
+	results, _, _, err := diffBatch(ctx, pairs, jobs, opts, nil, nil)
 	return results, err
 }
 
@@ -133,9 +133,10 @@ func DiffBatch(ctx context.Context, pairs []ConfigPair, opts BatchOptions) ([]Ba
 //
 // memo, when non-nil, is the store whose component memo the pairs'
 // diffs consult (see memo.go); with opts.CacheDir set, the store opened
-// there serves instead. comps counts each successful pair's semantic
-// components, recalled or computed.
-func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts BatchOptions, memo *fleet.Store) (results []BatchResult, mirrored []bool, comps componentCounts, err error) {
+// there serves instead. sums maps configurations to their content sums,
+// where known, so the store can carry their digests. comps counts each
+// successful pair's semantic components, recalled or computed.
+func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts BatchOptions, memo *fleet.Store, sums map[*Config]string) (results []BatchResult, mirrored []bool, comps componentCounts, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -178,7 +179,7 @@ func diffBatch(ctx context.Context, pairs []ConfigPair, jobList [][2]int, opts B
 	var cm *componentMemo
 	if memo != nil {
 		optsFP = fleet.OptionsFingerprint(inner)
-		cm = &componentMemo{store: memo, optsFP: optsFP}
+		cm = &componentMemo{store: memo, optsFP: optsFP, sums: sums}
 	}
 	var compsMu sync.Mutex
 

@@ -284,6 +284,7 @@ func DiffFleet(ctx context.Context, devices []FleetDevice, opts FleetOptions) (*
 			HashMisses:   after.HashMisses - statsBefore.HashMisses,
 			Evictions:    after.Evictions - statsBefore.Evictions,
 			Corrupt:      after.Corrupt - statsBefore.Corrupt,
+			Digests:      after.Digests - statsBefore.Digests,
 		}
 	}
 	fm.finish(r)
@@ -542,6 +543,7 @@ func diffRepresentatives(ctx context.Context, r *FleetResult, store *fleet.Store
 
 	// The representatives of every miss must be real parsed configs now.
 	pairs := make([]ConfigPair, len(missing))
+	sums := map[*Config]string{}
 	for n, key := range missing {
 		i, j := r.Classes[key[0]].Members[0], r.Classes[key[1]].Members[0]
 		di, dj := &r.Devices[i], &r.Devices[j]
@@ -560,6 +562,7 @@ func diffRepresentatives(ctx context.Context, r *FleetResult, store *fleet.Store
 		}
 		r.render[i], r.render[j] = c1, c2
 		pairs[n] = ConfigPair{Name: name, Config1: c1, Config2: c2}
+		sums[c1], sums[c2] = di.ContentSum, dj.ContentSum
 	}
 
 	batch := opts.BatchOptions
@@ -609,7 +612,7 @@ func diffRepresentatives(ctx context.Context, r *FleetResult, store *fleet.Store
 			userOnResult(n, res)
 		}
 	}
-	results, mirrored, comps, err := diffBatch(ctx, live, jobs, batch, store)
+	results, mirrored, comps, err := diffBatch(ctx, live, jobs, batch, store, sums)
 	r.Stats.ComponentsRecalled, r.Stats.ComponentsComputed = comps.recalled, comps.computed
 	for n, res := range results {
 		key := liveKey[n]

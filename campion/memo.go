@@ -36,8 +36,12 @@ func (n *componentCounts) add(o componentCounts) {
 // componentMemo is one batch's view of a store's component memo. A nil
 // *componentMemo recalls and stores nothing.
 type componentMemo struct {
-	store   *fleet.Store
-	optsFP  string
+	store  *fleet.Store
+	optsFP string
+	// sums holds the content sums DiffFleet knows for the batch's
+	// configurations; the store carries those snapshots' digests across
+	// audits (fleet.Store.SnapshotDigests). Read-only during the batch.
+	sums    map[*ir.Config]string
 	digests sync.Map // *ir.Config -> fleet.ComponentDigests
 }
 
@@ -45,7 +49,7 @@ func (m *componentMemo) digestsOf(cfg *ir.Config) fleet.ComponentDigests {
 	if d, ok := m.digests.Load(cfg); ok {
 		return d.(fleet.ComponentDigests)
 	}
-	d, _ := m.digests.LoadOrStore(cfg, fleet.Digests(cfg))
+	d, _ := m.digests.LoadOrStore(cfg, m.store.SnapshotDigests(m.sums[cfg], cfg))
 	return d.(fleet.ComponentDigests)
 }
 

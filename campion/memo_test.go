@@ -37,7 +37,7 @@ func memoBatch(t *testing.T, store *fleet.Store, opts Options, pairs ...ConfigPa
 	if len(pairs) == 2 {
 		jobs = [][2]int{{0, 1}}
 	}
-	results, _, n, err := diffBatch(context.Background(), pairs, jobs, BatchOptions{Options: opts, BatchWorkers: 1}, store)
+	results, _, n, err := diffBatch(context.Background(), pairs, jobs, BatchOptions{Options: opts, BatchWorkers: 1}, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

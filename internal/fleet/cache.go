@@ -32,6 +32,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,6 +40,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 )
 
 // storeVersion namespaces the on-disk layout.
@@ -57,42 +59,41 @@ const entryMagic = "campion-cache"
 // EnableMemo layers a write-through in-memory copy over a disk store, so
 // a daemon that already paid the disk read (or write) for an entry never
 // pays it again; the disk keeps its role as the cross-restart warm
-// start. Memo entries are never dropped — SetMaxReports bounds only the
-// on-disk report files — so a memoized report can outlive its disk copy.
-// That is safe (entries are immutable content keyed by their full
-// identity), but the memo is not bounded by the live fleet: a daemon's
-// memo grows with every fresh edit, by about 3.1 MB each on a 200-device
-// fleet. ROADMAP.md's open item on bounding daemon memory tracks the fix.
+// start. SetMaxReports bounds only the on-disk report files, so a
+// memoized report can outlive its disk copy; that is safe, because
+// entries are immutable content keyed by their full identity.
 //
 // Every Store, disk-backed or not, also keeps a component memo
 // (GetComponent / PutComponent): the results of single semantic
 // components, keyed by the options fingerprint and the two sides'
-// component digests. Component entries live in memory only and are
-// never dropped either, so they grow with distinct policy contents the
-// same way reports grow with distinct classes.
+// component digests. Component entries live in memory only.
+//
+// Nothing in memory is dropped unless the store's owner calls Retain
+// with the fleet it still holds: a daemon session does after every
+// audit, which bounds the memo by the live fleet plus a small window of
+// recently dead classes and snapshots. Batch runs never call it, so
+// runs that share a store never lose each other's entries.
 type Store struct {
 	dir        string // <root>/v1; "" for a memory-only store
 	maxReports int64
 
-	// memo, when non-nil, is the in-memory layer: full entry key →
-	// *core.Report (reports) or HashEntry (hashes). A memoized report
-	// has the wire shape DecodeReport returns — Hostname/File stub
-	// configs, no Stats — so it never pins parsed configurations (span
-	// lines may still share their source text). After a put it is the
-	// producer's own report, difference slices shared; after a disk
-	// read it is the decode. Either way it is read-only and shared
-	// between callers (RespanReport copies). Disk entries are JSON, and
-	// an entry JSON cannot carry faithfully is never written.
-	memo *sync.Map
+	// memo, when non-nil, is the in-memory layer over the disk entries.
+	memo *memoTables
 
 	// components is the component memo: componentKey → *core.Report
 	// holding one component's fields (see PutComponent).
 	components sync.Map
 
+	// retainMu serializes Retain, which advances the two windows of
+	// recently dead classes and snapshots.
+	retainMu            sync.Mutex
+	deadClass, deadSnap deathWindow
+
 	reportHits, reportMisses atomic.Uint64
 	hashHits, hashMisses     atomic.Uint64
 	evictions, corrupt       atomic.Uint64
 	reportPuts               atomic.Uint64
+	digests                  atomic.Uint64
 
 	evictMu sync.Mutex
 
@@ -102,6 +103,40 @@ type Store struct {
 	// cache-traffic publication. Stored atomically so SetObserver is safe
 	// while lookups are in flight.
 	observer atomic.Pointer[func(op, kind string)]
+}
+
+// memoTables is the in-memory layer. Its maps are typed by entry kind
+// and keyed by each entry's identity, so Retain reads an entry's class
+// hashes or content sum without parsing a key.
+type memoTables struct {
+	// reports: reportKey → *core.Report. A memoized report has the wire
+	// shape DecodeReport returns — Hostname/File stub configs, no Stats —
+	// so it never pins parsed configurations (span lines may still share
+	// their source text). After a put it is the producer's own report,
+	// difference slices shared; after a disk read it is the decode.
+	// Either way it is read-only and shared between callers (RespanReport
+	// copies). Disk entries are JSON, and an entry JSON cannot carry
+	// faithfully is never written.
+	reports sync.Map
+	// hashes: content sum → *hashSlot.
+	hashes sync.Map
+}
+
+// reportKey is the identity of one report entry.
+type reportKey struct{ hash1, hash2, optsFP string }
+
+// hashSlot is one memoized hash entry, plus the component digests of the
+// snapshot it describes once SnapshotDigests has computed them.
+type hashSlot struct {
+	entry   HashEntry
+	digests atomic.Pointer[snapshotDigests]
+}
+
+// snapshotDigests are carried digests and whether the configuration they
+// were computed from had no file name (Digests records that bit).
+type snapshotDigests struct {
+	ComponentDigests
+	noFile bool
 }
 
 // SetObserver installs (or, with nil, removes) the per-event counter
@@ -129,6 +164,9 @@ type StoreStats struct {
 	ReportHits, ReportMisses uint64
 	HashHits, HashMisses     uint64
 	Evictions, Corrupt       uint64
+	// Digests counts the Digests calls SnapshotDigests made: the
+	// snapshots it digested rather than found carried.
+	Digests uint64
 }
 
 // OpenStore opens (creating if needed) a cache under dir.
@@ -147,7 +185,7 @@ func OpenStore(dir string) (*Store, error) {
 // "keep warm across requests" role when the operator has not asked for
 // cross-restart persistence.
 func OpenMemStore() *Store {
-	return &Store{memo: &sync.Map{}}
+	return &Store{memo: &memoTables{}}
 }
 
 // EnableMemo layers a write-through in-memory copy over a disk-backed
@@ -156,7 +194,7 @@ func OpenMemStore() *Store {
 // filesystem. Call it once, before lookups begin.
 func (s *Store) EnableMemo() {
 	if s.memo == nil {
-		s.memo = &sync.Map{}
+		s.memo = &memoTables{}
 	}
 }
 
@@ -171,6 +209,7 @@ func (s *Store) Stats() StoreStats {
 		ReportHits: s.reportHits.Load(), ReportMisses: s.reportMisses.Load(),
 		HashHits: s.hashHits.Load(), HashMisses: s.hashMisses.Load(),
 		Evictions: s.evictions.Load(), Corrupt: s.corrupt.Load(),
+		Digests: s.digests.Load(),
 	}
 }
 
@@ -198,12 +237,11 @@ func ContentSum(data []byte) string {
 // GetHash looks up the semantic hash recorded for raw-config digest
 // contentSum.
 func (s *Store) GetHash(contentSum string) (HashEntry, bool) {
-	memoKey := "hash\x00" + contentSum
 	if s.memo != nil {
-		if v, ok := s.memo.Load(memoKey); ok {
+		if v, ok := s.memo.hashes.Load(contentSum); ok {
 			s.hashHits.Add(1)
 			s.observe("hit", "hash")
-			return v.(HashEntry), true
+			return v.(*hashSlot).entry, true
 		}
 	}
 	var e HashEntry
@@ -229,7 +267,7 @@ func (s *Store) GetHash(contentSum string) (HashEntry, bool) {
 		return HashEntry{}, false
 	}
 	if s.memo != nil {
-		s.memo.Store(memoKey, e)
+		s.memo.hashes.Store(contentSum, &hashSlot{entry: e})
 	}
 	s.hashHits.Add(1)
 	s.observe("hit", "hash")
@@ -243,7 +281,7 @@ func (s *Store) PutHash(contentSum, hash, hostname string, fallback bool) {
 		Hash: hash, Hostname: hostname, Fallback: fallback,
 	}
 	if s.memo != nil {
-		s.memo.Store("hash\x00"+contentSum, e)
+		s.memo.hashes.Store(contentSum, &hashSlot{entry: e})
 	}
 	// encoding/json would replace the bytes of an invalid hostname, and
 	// a warm run would render a different name.
@@ -270,9 +308,9 @@ type reportEntry struct {
 // shared (possibly with other concurrent callers) and must not be
 // mutated; RespanReport already copies.
 func (s *Store) GetReport(hash1, hash2, optsFP string) (*core.Report, bool) {
-	memoKey := "report\x00" + hash1 + "\x00" + hash2 + "\x00" + optsFP
+	memoKey := reportKey{hash1, hash2, optsFP}
 	if s.memo != nil {
-		if v, ok := s.memo.Load(memoKey); ok {
+		if v, ok := s.memo.reports.Load(memoKey); ok {
 			s.reportHits.Add(1)
 			s.observe("hit", "report")
 			return v.(*core.Report), true
@@ -306,7 +344,7 @@ func (s *Store) GetReport(hash1, hash2, optsFP string) (*core.Report, bool) {
 		return nil, false
 	}
 	if s.memo != nil {
-		s.memo.Store(memoKey, rep)
+		s.memo.reports.Store(memoKey, rep)
 	}
 	s.reportHits.Add(1)
 	s.observe("hit", "report")
@@ -324,7 +362,7 @@ func (s *Store) GetReport(hash1, hash2, optsFP string) (*core.Report, bool) {
 // later lookup renders exactly what the producing run rendered.
 func (s *Store) PutReport(hash1, hash2, optsFP string, rep *core.Report) {
 	if s.memo != nil {
-		s.memo.Store("report\x00"+hash1+"\x00"+hash2+"\x00"+optsFP, payloadOf(rep).report())
+		s.memo.reports.Store(reportKey{hash1, hash2, optsFP}, payloadOf(rep).report())
 	}
 	if s.dir == "" {
 		return
@@ -348,8 +386,9 @@ func (s *Store) PutReport(hash1, hash2, optsFP string, rep *core.Report) {
 }
 
 // componentKey is the component memo key of one ordered side pair.
-func componentKey(c core.Component, optsFP, digest1, digest2 string) string {
-	return string(c) + "\x00" + optsFP + "\x00" + digest1 + "\x00" + digest2
+type componentKey struct {
+	c                        core.Component
+	optsFP, digest1, digest2 string
 }
 
 // GetComponent looks up the memoized part of component c for a pair
@@ -357,7 +396,7 @@ func componentKey(c core.Component, optsFP, digest1, digest2 string) string {
 // field for c), under the options fingerprint. The part is shared and
 // read-only: retarget it with RespanReport.
 func (s *Store) GetComponent(c core.Component, optsFP, digest1, digest2 string) (*core.Report, bool) {
-	v, ok := s.components.Load(componentKey(c, optsFP, digest1, digest2))
+	v, ok := s.components.Load(componentKey{c, optsFP, digest1, digest2})
 	if !ok {
 		return nil, false
 	}
@@ -369,7 +408,146 @@ func (s *Store) GetComponent(c core.Component, optsFP, digest1, digest2 string) 
 // them. The store keeps part itself: the caller must not mutate it or
 // the slices it shares. The entry lives in memory only.
 func (s *Store) PutComponent(c core.Component, optsFP, digest1, digest2 string, part *core.Report) {
-	s.components.Store(componentKey(c, optsFP, digest1, digest2), part)
+	s.components.Store(componentKey{c, optsFP, digest1, digest2}, part)
+}
+
+// SnapshotDigests returns Digests(cfg) for a configuration whose raw
+// bytes have content sum contentSum. With the memo on, the digests ride
+// in contentSum's memo hash entry, so a snapshot is digested once while
+// that entry lives rather than once per audit; the entry must already
+// exist (this run's GetHash or PutHash made it) for them to be carried.
+// Without a sum or an entry it computes them every call.
+func (s *Store) SnapshotDigests(contentSum string, cfg *ir.Config) ComponentDigests {
+	var slot *hashSlot
+	if s.memo != nil && contentSum != "" {
+		if v, ok := s.memo.hashes.Load(contentSum); ok {
+			slot = v.(*hashSlot)
+		}
+	}
+	noFile := cfg.File == ""
+	if slot != nil {
+		if d := slot.digests.Load(); d != nil && d.noFile == noFile {
+			return d.ComponentDigests
+		}
+	}
+	d := &snapshotDigests{Digests(cfg), noFile}
+	s.digests.Add(1)
+	if slot != nil {
+		slot.digests.Store(d)
+	}
+	return d.ComponentDigests
+}
+
+// RetainWindow is how many recently dead classes, and how many recently
+// dead snapshots, Retain keeps beyond the live set. A device toggling
+// back to its previous variant needs one. Each dead class kept costs its
+// reports against every live class, about what one fresh edit adds
+// (2.2 MB on BenchmarkSessionFreshEdit's 200-device fleet), so the
+// window stays small.
+const RetainWindow = 2
+
+// MemoSize counts in-memory entries by kind.
+type MemoSize struct {
+	Reports, Hashes, Components int
+}
+
+// Total is the number of entries of every kind.
+func (m MemoSize) Total() int { return m.Reports + m.Hashes + m.Components }
+
+// Retain bounds the memo by the fleet its owner still holds: classes are
+// the live class hashes, sums the content sums of the live snapshots.
+// It drops every memoized report whose two hashes are not both kept,
+// every memoized hash entry whose content sum is not kept, and every
+// component part whose two digests no kept snapshot carries. A hash or a
+// sum is kept while it is live or among the RetainWindow most recently
+// dead ones of its kind, so a device that returns to a recent variant is
+// still served from memory. It returns the entries kept and dropped.
+//
+// Only the memo is pruned: disk entries stay, so a dropped entry of a
+// disk-backed store is read back on demand. A dropped entry costs a
+// recomputation, never a wrong report. Retain is for a store with one
+// owner that sees the whole fleet, such as a daemon session, and it is a
+// no-op without the memo. Concurrent Get and Put calls are safe; an entry
+// put during the sweep for a key the live set does not cover may or may
+// not survive it.
+func (s *Store) Retain(classes, sums []string) (kept, dropped MemoSize) {
+	if s.memo == nil {
+		return kept, dropped
+	}
+	s.retainMu.Lock()
+	defer s.retainMu.Unlock()
+	keepClass := s.deadClass.advance(classes)
+	keepSum := s.deadSnap.advance(sums)
+
+	digests := map[string]bool{}
+	for _, set := range [][]string{sums, s.deadSnap.dead} {
+		for _, sum := range set {
+			if v, ok := s.memo.hashes.Load(sum); ok {
+				if d := v.(*hashSlot).digests.Load(); d != nil {
+					digests[d.RouteMaps], digests[d.ACLs] = true, true
+				}
+			}
+		}
+	}
+	sweep := func(m *sync.Map, keep func(key any) bool, kept, dropped *int) {
+		m.Range(func(k, v any) bool {
+			if keep(k) {
+				*kept++
+			} else if m.CompareAndDelete(k, v) {
+				*dropped++
+			}
+			return true
+		})
+	}
+	sweep(&s.memo.reports, func(k any) bool {
+		key := k.(reportKey)
+		return keepClass(key.hash1) && keepClass(key.hash2)
+	}, &kept.Reports, &dropped.Reports)
+	sweep(&s.memo.hashes, func(k any) bool { return keepSum(k.(string)) },
+		&kept.Hashes, &dropped.Hashes)
+	sweep(&s.components, func(k any) bool {
+		key := k.(componentKey)
+		return digests[key.digest1] && digests[key.digest2]
+	}, &kept.Components, &dropped.Components)
+	return kept, dropped
+}
+
+// deathWindow tracks one kind of key across Retain calls: the previous
+// live set, and the keys that have left it most recently, oldest first.
+type deathWindow struct {
+	live map[string]bool
+	dead []string
+}
+
+// advance moves the window to a new live set. Keys that were live and
+// are not any more join the dead end of the window (in sorted order, so
+// the window does not depend on map order), revived keys leave it, and
+// only the newest RetainWindow stay. It returns the keep test: live now,
+// or in the window.
+func (w *deathWindow) advance(live []string) func(string) bool {
+	next := make(map[string]bool, len(live))
+	for _, k := range live {
+		next[k] = true
+	}
+	var died []string
+	for k := range w.live {
+		if !next[k] {
+			died = append(died, k)
+		}
+	}
+	sort.Strings(died)
+	var dead []string
+	for _, k := range w.dead {
+		if !next[k] {
+			dead = append(dead, k)
+		}
+	}
+	dead = append(dead, died...)
+	if n := len(dead) - RetainWindow; n > 0 {
+		dead = dead[n:]
+	}
+	w.live, w.dead = next, dead
+	return func(k string) bool { return next[k] || slices.Contains(dead, k) }
 }
 
 // EvictNow applies the report bound immediately (tests and shutdown).

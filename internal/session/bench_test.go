@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -105,7 +106,8 @@ func BenchmarkSessionIncremental(b *testing.B) {
 // seen. Each iteration appends a new /32 static route to one device, so
 // the device lands in a fresh class and its rep pairs are diffed and
 // stored — the write path BenchmarkSessionIncremental's cached toggle
-// never reaches.
+// never reaches. live-MB is the live heap after the loop: with the memo
+// bounded by the live fleet it does not grow with b.N.
 func BenchmarkSessionFreshEdit(b *testing.B) {
 	s, snaps, names := benchSession(b)
 	ctx := context.Background()
@@ -125,7 +127,18 @@ func BenchmarkSessionFreshEdit(b *testing.B) {
 		}
 		repDiffs += res.Audit.RepComputed
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(repDiffs)/float64(b.N), "repdiffs/op")
+	b.ReportMetric(liveHeapMB(), "live-MB")
+	runtime.KeepAlive(s) // the session is what live-MB measures
+}
+
+// liveHeapMB is the heap still reachable after a full collection.
+func liveHeapMB() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
 // BenchmarkSessionReport: the daemon's cost of one read, GET

@@ -161,6 +161,12 @@ type AuditStats struct {
 	// core (campion.FleetStats).
 	ComponentsRecalled int `json:"components_recalled"`
 	ComponentsComputed int `json:"components_computed"`
+	// MemoEntries and MemoDropped count the store's in-memory entries
+	// (reports, hash entries and component parts) that the audit's prune
+	// kept and dropped: the memo holds the live fleet plus a small
+	// window of recently dead classes and snapshots (fleet.Store.Retain).
+	MemoEntries int `json:"memo_entries"`
+	MemoDropped int `json:"memo_dropped"`
 }
 
 // RediffRatio is the fraction of needed representative pairs this audit
@@ -269,13 +275,9 @@ func (s *Session) Remove(ctx context.Context, name string, audit bool) (IngestRe
 	s.met.devices.Set(int64(len(s.devices)))
 	s.journal.Emit(obs.Event{Type: obs.EvSnapshot, Device: name, Op: "remove"})
 	res := IngestResult{Device: name, Op: "remove"}
-	if len(s.devices) == 0 {
-		s.resultMu.Lock()
-		s.result, s.index = nil, nil
-		s.resultMu.Unlock()
-		return res, nil
-	}
-	if !audit {
+	// Removing the last device always audits: the empty fleet's audit
+	// clears the published state and prunes the memo.
+	if !audit && len(s.devices) > 0 {
 		return res, nil
 	}
 	st, err := s.auditLocked(ctx)
@@ -295,10 +297,13 @@ func (s *Session) Audit(ctx context.Context) (AuditStats, error) {
 }
 
 // auditLocked runs DiffFleet over the session's devices — every hash
-// and every unchanged class pair served by the warm store — and
-// publishes the result. Caller holds s.mu.
+// and every unchanged class pair served by the warm store — prunes the
+// store's memo to the audited fleet, and publishes the result. A failed
+// audit prunes nothing. An empty fleet publishes no result and zero
+// stats. Caller holds s.mu.
 func (s *Session) auditLocked(ctx context.Context) (AuditStats, error) {
 	if len(s.devices) == 0 {
+		s.store.Retain(nil, nil)
 		s.resultMu.Lock()
 		s.result, s.index, s.last = nil, nil, AuditStats{}
 		s.resultMu.Unlock()
@@ -330,11 +335,21 @@ func (s *Session) auditLocked(ctx context.Context) (AuditStats, error) {
 	if err != nil {
 		return AuditStats{}, err
 	}
+	classes := make([]string, len(fr.Classes))
+	for i, cl := range fr.Classes {
+		classes[i] = cl.Hash
+	}
+	sums := make([]string, len(fleetDevs))
+	for i, fd := range fleetDevs {
+		sums[i] = fd.ContentSum
+	}
+	kept, dropped := s.store.Retain(classes, sums)
 	st := AuditStats{
 		Devices: fr.Stats.Devices, Failed: fr.Stats.Failed,
 		Classes: fr.Stats.Classes, RepPairs: fr.Stats.RepPairs,
 		RepComputed: fr.Stats.RepComputed, RepMirrored: fr.Stats.RepMirrored,
 		ComponentsRecalled: fr.Stats.ComponentsRecalled, ComponentsComputed: fr.Stats.ComponentsComputed,
+		MemoEntries: kept.Total(), MemoDropped: dropped.Total(),
 		DurNS: int64(time.Since(start)),
 	}
 
@@ -351,8 +366,10 @@ func (s *Session) auditLocked(ctx context.Context) (AuditStats, error) {
 	s.journal.Emit(obs.Event{Type: obs.EvAudit, Dur: st.DurNS,
 		N: int64(st.RepComputed), Total: int64(st.RepPairs),
 		Detail: map[string]string{
-			"devices": fmt.Sprintf("%d", st.Devices),
-			"classes": fmt.Sprintf("%d", st.Classes),
+			"devices":      fmt.Sprintf("%d", st.Devices),
+			"classes":      fmt.Sprintf("%d", st.Classes),
+			"memo_entries": fmt.Sprintf("%d", st.MemoEntries),
+			"memo_dropped": fmt.Sprintf("%d", st.MemoDropped),
 		}})
 	return st, nil
 }

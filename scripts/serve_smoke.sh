@@ -4,7 +4,8 @@
 # examples verbatim against it (every `^curl` line in the "Pushing
 # snapshots" section executes here, so the docs stay honest), then push
 # a single-device edit and assert the audit was incremental — the
-# re-diff ratio scraped from /metrics must be strictly below 100%.
+# re-diff ratio scraped from /metrics must be strictly below 100% — and
+# that further fresh edits leave the memo's size flat.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -94,6 +95,28 @@ if [ "$ratio" -ge 100 ] || [ "$ratio" -le 0 ]; then
     curl -sf http://127.0.0.1:9090/metrics | grep campion_session >&2 || true
     exit 1
 fi
+
+# The memo is bounded by the live fleet: each fresh r1 edit kills r1's
+# previous class, and the daemon keeps only a window of two recently
+# dead classes and snapshots (fleet.RetainWindow) beyond the live ones.
+# Push more fresh edits than the window holds; once it is full, the
+# audit's memo_entries must not grow.
+prev=""
+for n in 1 2 3 4 5 6; do
+    echo "ip route 10.98.$n.0 255.255.255.0 10.0.1.254" >> r1.cfg
+    resp="$(curl -sf --data-binary @r1.cfg http://127.0.0.1:9090/snapshot/r1)"
+    entries="$(printf '%s\n' "$resp" | sed -n 's/.*"memo_entries": \([0-9]*\).*/\1/p')"
+    echo "serve smoke: fresh edit $n keeps ${entries:-?} memo entries"
+    if [ -z "$entries" ]; then
+        echo "FAIL: memo_entries missing from the audit stats" >&2
+        exit 1
+    fi
+    if [ "$n" -gt 2 ] && [ "$entries" -gt "$prev" ]; then
+        echo "FAIL: memo_entries grew from $prev to $entries after the window filled" >&2
+        exit 1
+    fi
+    prev="$entries"
+done
 
 # The edit is visible in the report, and the fleet reflects all four
 # devices.
