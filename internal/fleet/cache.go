@@ -71,8 +71,9 @@ const entryMagic = "campion-cache"
 // Nothing in memory is dropped unless the store's owner calls Retain
 // with the fleet it still holds: a daemon session does after every
 // audit, which bounds the memo by the live fleet plus a small window of
-// recently dead classes and snapshots. Batch runs never call it, so
-// runs that share a store never lose each other's entries.
+// recently dead classes and snapshots. Such a store belongs to its
+// session alone. Batch runs never call Retain, so batch runs that share
+// a store never lose each other's entries.
 type Store struct {
 	dir        string // <root>/v1; "" for a memory-only store
 	maxReports int64
@@ -439,12 +440,13 @@ func (s *Store) SnapshotDigests(contentSum string, cfg *ir.Config) ComponentDige
 }
 
 // RetainWindow is how many recently dead classes, and how many recently
-// dead snapshots, Retain keeps beyond the live set. A device toggling
-// back to its previous variant needs one. Each dead class kept costs its
-// reports against every live class, about what one fresh edit adds
-// (2.2 MB on BenchmarkSessionFreshEdit's 200-device fleet), so the
-// window stays small.
-const RetainWindow = 2
+// dead snapshots, Retain keeps beyond the live set. One serves a device
+// toggling back to its previous variant (TestToggleServedFromWindow);
+// no test or benchmark returns to a variant two deaths back. Each dead
+// class kept costs its reports against every live class, about what one
+// fresh edit adds (2.2 MB on BenchmarkSessionFreshEdit's 200-device
+// fleet).
+const RetainWindow = 1
 
 // MemoSize counts in-memory entries by kind.
 type MemoSize struct {

@@ -57,13 +57,14 @@ func TestRetain(t *testing.T) {
 		return s.Retain([]string{da.hash, db.hash}, []string{da.sum, db.sum})
 	}
 	// Each audit adds two reports, a hash entry and two parts. Once the
-	// window is full, the live pair and the two dead variants hold three
-	// report pairs, four hash entries and six parts.
+	// window is full, the live pair and the dead variant hold two report
+	// pairs, three hash entries and four parts, and each audit drops the
+	// variant that leaves the window.
 	want := []struct{ kept, dropped MemoSize }{
 		{MemoSize{2, 2, 2}, MemoSize{}},
 		{MemoSize{4, 3, 4}, MemoSize{}},
-		{MemoSize{6, 4, 6}, MemoSize{}},
-		{MemoSize{6, 4, 6}, MemoSize{2, 1, 2}},
+		{MemoSize{4, 3, 4}, MemoSize{2, 1, 2}},
+		{MemoSize{4, 3, 4}, MemoSize{2, 1, 2}},
 	}
 	for b := 1; b < len(devs); b++ {
 		kept, dropped := audit(0, b)
@@ -74,8 +75,8 @@ func TestRetain(t *testing.T) {
 	if got := s.Stats().Digests; got != uint64(len(devs)) {
 		t.Fatalf("%d digest computations, want one per snapshot (%d)", got, len(devs))
 	}
-	// Variants 2 and 3 are in the window, variant 1 is gone.
-	for v, in := range []bool{true, false, true, true, true} {
+	// Variant 3 is in the window, variants 1 and 2 are gone.
+	for v, in := range []bool{true, false, false, true, true} {
 		d := devs[v]
 		if _, ok := s.GetHash(d.sum); ok != in {
 			t.Errorf("variant %d hash entry kept %t, want %t", v, ok, in)
@@ -87,13 +88,18 @@ func TestRetain(t *testing.T) {
 			t.Errorf("ACL part of variant %d kept %t, want %t", v, ok, in)
 		}
 	}
-	// A revived variant leaves the window; retaining the same fleet
-	// again drops nothing more.
+	// Reviving variant 3 takes it out of the window and puts variant 4
+	// in, so nothing is dropped.
 	if _, dropped := s.Retain([]string{devs[0].hash, devs[3].hash}, []string{devs[0].sum, devs[3].sum}); dropped != (MemoSize{}) {
 		t.Fatalf("reviving variant 3 dropped %+v", dropped)
 	}
-	if kept, dropped := s.Retain(nil, nil); kept != (MemoSize{2, 2, 2}) || dropped != (MemoSize{4, 2, 4}) {
-		t.Fatalf("empty fleet kept %+v, dropped %+v; want the window's variants 3 and 0 only", kept, dropped)
+	// The empty fleet kills variants 0 and 3 at once; the window keeps
+	// one class and one snapshot of them, which need no report or part.
+	if kept, dropped := s.Retain(nil, nil); kept != (MemoSize{0, 1, 0}) || dropped != (MemoSize{4, 2, 4}) {
+		t.Fatalf("empty fleet kept %+v, dropped %+v; want one hash entry only", kept, dropped)
+	}
+	if kept, dropped := s.Retain(nil, nil); kept != (MemoSize{0, 1, 0}) || dropped != (MemoSize{}) {
+		t.Fatalf("retaining the empty fleet again kept %+v, dropped %+v; want a no-op", kept, dropped)
 	}
 
 	disk, err := OpenStore(t.TempDir())

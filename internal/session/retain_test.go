@@ -152,15 +152,19 @@ func TestToggleServedFromWindow(t *testing.T) {
 // TestRemoveAllLeavesWindow removes every device without asking for an
 // audit. Removing the last one still audits the empty fleet: the memo
 // keeps only what the window's dead classes and snapshots need, and the
-// published state is gone.
+// published state is gone. The removal reports no audit stats.
 func TestRemoveAllLeavesWindow(t *testing.T) {
 	snaps := fleetSnapshots(6, 13)
 	s := New(Options{})
 	seedSession(t, s, snaps)
 	ctx := context.Background()
 	for name := range snaps {
-		if _, err := s.Remove(ctx, name, false); err != nil {
+		res, err := s.Remove(ctx, name, false)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Audit != nil {
+			t.Fatalf("removing %s reported audit %+v, want none", name, *res.Audit)
 		}
 	}
 	if a := s.LastAudit(); a != (AuditStats{}) {

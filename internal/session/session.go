@@ -54,7 +54,10 @@ type Options struct {
 	// Store is the hash/report cache shared by all audits. Leave nil for
 	// a process-local in-memory store; pass an OpenFleetStore with
 	// EnableMemo for cross-restart persistence that still serves hot
-	// lookups from memory.
+	// lookups from memory. The session owns the store it is given: after
+	// every audit it drops the memo entries its own fleet no longer
+	// needs (fleet.Store.Retain), so do not share the store with batch
+	// runs or another session. Disk entries are never dropped.
 	Store *campion.FleetStore
 	// Journal, when set, receives the session's snapshot/audit events
 	// (and is threaded into Diff.Journal when that is unset, so one
@@ -275,9 +278,14 @@ func (s *Session) Remove(ctx context.Context, name string, audit bool) (IngestRe
 	s.met.devices.Set(int64(len(s.devices)))
 	s.journal.Emit(obs.Event{Type: obs.EvSnapshot, Device: name, Op: "remove"})
 	res := IngestResult{Device: name, Op: "remove"}
-	// Removing the last device always audits: the empty fleet's audit
-	// clears the published state and prunes the memo.
-	if !audit && len(s.devices) > 0 {
+	if len(s.devices) == 0 {
+		// Removing the last device always runs the empty fleet's audit,
+		// which clears the published state and prunes the memo. There is
+		// no fleet to report on, so the result carries no audit stats.
+		_, err := s.auditLocked(ctx)
+		return res, err
+	}
+	if !audit {
 		return res, nil
 	}
 	st, err := s.auditLocked(ctx)

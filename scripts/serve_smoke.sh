@@ -97,8 +97,8 @@ if [ "$ratio" -ge 100 ] || [ "$ratio" -le 0 ]; then
 fi
 
 # The memo is bounded by the live fleet: each fresh r1 edit kills r1's
-# previous class, and the daemon keeps only a window of two recently
-# dead classes and snapshots (fleet.RetainWindow) beyond the live ones.
+# previous class, and the daemon keeps only a window of one recently
+# dead class and snapshot (fleet.RetainWindow) beyond the live ones.
 # Push more fresh edits than the window holds; once it is full, the
 # audit's memo_entries must not grow.
 prev=""
@@ -111,7 +111,7 @@ for n in 1 2 3 4 5 6; do
         echo "FAIL: memo_entries missing from the audit stats" >&2
         exit 1
     fi
-    if [ "$n" -gt 2 ] && [ "$entries" -gt "$prev" ]; then
+    if [ "$n" -gt 1 ] && [ "$entries" -gt "$prev" ]; then
         echo "FAIL: memo_entries grew from $prev to $entries after the window filled" >&2
         exit 1
     fi
